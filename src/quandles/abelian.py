@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 from .errors import CapExceeded
 
@@ -116,9 +116,21 @@ class FinAbGroup:
         return tuple(reversed(coords))
 
     def cayley_table(self):
-        """The addition table over element indices (for coset quandle input)."""
-        elems = self.elements()
-        return [[self.index_of(self.add(x, y)) for y in elems] for x in elems]
+        """The addition table over element indices, as a tuple of rows.
+
+        Built in mixed radix, one cyclic factor at a time from the last: for
+        Z_d x H with |H| = m, element (x, h) has index x*m + h, and its row
+        is the row of (0, h) rotated left by x*m.
+        """
+        table = ((0,),)
+        for d in reversed(self.moduli):
+            m = len(table)
+            ids = tuple(range(d * m))  # rows share these ints: one pointer per entry
+            blocks = [ids[y * m:(y + 1) * m].__getitem__ for y in range(d)]
+            # the row of (0, h): row h of H carried into each column block
+            firsts = [tuple(chain.from_iterable(map(b, row) for b in blocks)) for row in table]
+            table = tuple(r[x * m:] + r[:x * m] for x in range(d) for r in firsts)
+        return table
 
     def descriptor(self):
         """Serialization like ``Z 2 x Z 4``; the trivial group prints as ``Z 1``."""
@@ -289,10 +301,6 @@ class AbHom:
         source = FinAbGroup.from_descriptor(data["source"])
         target = FinAbGroup.from_descriptor(data["target"])
         return cls(source, target, data["matrix"])
-
-
-def hom_is_automorphism(h):
-    return h.is_automorphism()
 
 
 @dataclass(frozen=True)

@@ -199,9 +199,6 @@ def build_parser():
         "affine fundamental groups, coverings, knot invariants.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--seed", type=int, default=0, help="random seed (recorded; all commands are deterministic)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a table file and report structure flags")

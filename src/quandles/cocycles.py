@@ -16,113 +16,125 @@ classes by backtracking over those orbits.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
 from .abelian import FinAbGroup
-from .core import AffineQuandle, Quandle
+from .core import AffineQuandle, Quandle, _validate_group_table
 from .errors import BudgetExceeded, InvalidCocycle, NotLatin
-from .perms import Perm, orbit
+from .perms import Perm, orbit, permutation_table
 
 DEFAULT_H2C_NODE_BUDGET = 10**6
-MAX_CONJUGATION_ORDER = 10**4
+# a coefficient group is tabulated in full: order**2 entries
+MAX_COEFF_ORDER = 2048
+
+# Sym(k) by k; the order cap keeps this to k <= 6, and the groups are immutable
+_SYMMETRIC = {}
+
+
+def _check_order(order, what):
+    if order > MAX_COEFF_ORDER:
+        raise BudgetExceeded(
+            f"coefficient group {what} is larger than the order cap {MAX_COEFF_ORDER}"
+        )
 
 
 class CoeffGroup:
-    """A finite coefficient group with elements indexed 0..order-1.
+    """A finite coefficient group, held as its Cayley table over 0..order-1.
 
-    Three constructors cover everything used here: symmetric groups on a
-    finite set of points, finite abelian groups, and explicit Cayley tables.
+    ``table[a][b]`` is the index of ab and ``inverses[a]`` that of a^-1.
+    Three constructors build this form: symmetric groups on a finite set of
+    points, finite abelian groups, and explicit Cayley tables. Each refuses
+    groups of order above ``MAX_COEFF_ORDER`` before enumerating anything.
     """
 
-    __slots__ = ("kind", "order", "identity", "_elems", "_index", "_table", "_group",
-                 "_labels", "_inverses", "_classes")
+    __slots__ = ("table", "order", "identity", "inverses", "labels", "_descriptor",
+                 "_images", "_classes")
 
-    def __init__(self, kind, payload, labels=None):
-        self.kind = kind
-        self._inverses = None
+    def __init__(self, table, identity, inverses, labels, descriptor, images=None):
+        self.table = table
+        self.order = len(table)
+        self.identity = identity
+        self.inverses = inverses
+        self.labels = labels
+        self._descriptor = descriptor
+        self._images = images
         self._classes = None
-        self._elems = None
-        self._index = None
-        self._table = None
-        self._group = None
-        if kind == "sym":
-            points = payload
-            self._elems = tuple(sorted(permutations(range(points))))
-            self._index = {p: i for i, p in enumerate(self._elems)}
-            self.order = len(self._elems)
-            self.identity = self._index[tuple(range(points))]
-            self._labels = tuple("[" + ",".join(map(str, p)) + "]" for p in self._elems)
-        elif kind == "ab":
-            group = payload
-            self._group = group
-            self._elems = group.elements()
-            self._index = {x: i for i, x in enumerate(self._elems)}
-            self.order = group.order
-            self.identity = self._index[group.zero]
-            self._labels = tuple("(" + ",".join(map(str, x)) + ")" for x in self._elems)
-        elif kind == "cayley":
-            table, identity, inverses = _check_group_table(payload)
-            self._table = table
-            self.order = len(table)
-            self.identity = identity
-            self._inverses = list(inverses)
-            if labels is not None:
-                labels = tuple(str(s) for s in labels)
-                if len(labels) != self.order or len(set(labels)) != self.order:
-                    raise ValueError("labels must be distinct, one per element")
-                self._labels = labels
-            else:
-                self._labels = tuple(f"g{i}" for i in range(self.order))
-        else:
-            raise ValueError(f"unknown coefficient group kind {kind!r}")
 
     @classmethod
     def symmetric(cls, points):
-        """Sym(S) for S = {0, ..., points-1}."""
+        """Sym(S) for S = {0, ..., points-1}, elements in sorted image order.
+
+        Built once per number of points and shared.
+        """
         if points < 1:
             raise ValueError("need at least one point")
-        return cls("sym", points)
+        # k! > MAX_COEFF_ORDER for every k >= MAX_COEFF_ORDER: no huge factorial
+        _check_order(math.factorial(min(points, MAX_COEFF_ORDER)), f"Sym({points})")
+        group = _SYMMETRIC.get(points)
+        if group is None:
+            images, table = permutation_table(permutations(range(points)))
+            group = _SYMMETRIC[points] = cls(
+                table,
+                0,  # the identity sorts first
+                tuple(row.index(0) for row in table),
+                tuple("[" + ",".join(map(str, p)) + "]" for p in images),
+                f"Sym({points})",
+                images,
+            )
+        return group
 
     @classmethod
     def abelian(cls, group):
+        """A finite abelian group, elements in row-major (mixed radix) order."""
         if not isinstance(group, FinAbGroup):
             group = FinAbGroup(tuple(group))
-        return cls("ab", group)
+        _check_order(group.order, group.descriptor())
+        elems = group.elements()
+        return cls(
+            group.cayley_table(),
+            group.index_of(group.zero),
+            tuple(group.index_of(group.neg(x)) for x in elems),
+            tuple("(" + ",".join(map(str, x)) + ")" for x in elems),
+            group.descriptor(),
+        )
 
     @classmethod
     def from_cayley(cls, table, labels=None):
-        return cls("cayley", table, labels)
+        """An explicit, validated Cayley table; elements keep their given order."""
+        _check_order(len(table), f"cayley({len(table)})")
+        table, identity, inverses = _validate_group_table(table)
+        n = len(table)
+        if labels is None:
+            labels = tuple(f"g{i}" for i in range(n))
+        else:
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != n or len(set(labels)) != n:
+                raise ValueError("labels must be distinct, one per element")
+        return cls(table, identity, inverses, labels, f"cayley({n})")
+
+    def _perms(self):
+        if self._images is None:
+            raise ValueError("not a symmetric group")
+        return self._images
 
     @property
     def points(self):
         """For symmetric groups, the number of points acted on."""
-        if self.kind != "sym":
-            raise ValueError("not a symmetric group")
-        return len(self._elems[0]) if self.order > 1 else 1
+        return len(self._perms()[0])
 
     def mul(self, a, b):
-        if self.kind == "sym":
-            ta, tb = self._elems[a], self._elems[b]
-            return self._index[tuple(ta[i] for i in tb)]
-        if self.kind == "ab":
-            return self._index[self._group.add(self._elems[a], self._elems[b])]
-        return self._table[a][b]
+        return self.table[a][b]
 
     def inv(self, a):
-        if self._inverses is None:
-            self._inverses = [None] * self.order
-            for x in range(self.order):
-                for y in range(self.order):
-                    if self.mul(x, y) == self.identity:
-                        self._inverses[x] = y
-                        break
-        return self._inverses[a]
+        return self.inverses[a]
 
     def conj(self, s, a):
         """s a s^-1."""
-        return self.mul(self.mul(s, a), self.inv(s))
+        return self.table[self.table[s][a]][self.inverses[s]]
 
     def power(self, a, n):
         if n < 0:
@@ -167,86 +179,50 @@ class CoeffGroup:
         raise ValueError(f"no element {a}")
 
     def label(self, a):
-        return self._labels[a]
+        return self.labels[a]
 
     def index_of_label(self, text):
         try:
-            return self._labels.index(text)
+            return self.labels.index(text)
         except ValueError:
             raise ValueError(f"unknown element label {text!r}") from None
 
     def perm_images(self, a):
         """For symmetric groups, the image tuple of element ``a``."""
-        if self.kind != "sym":
-            raise ValueError("not a symmetric group")
-        return self._elems[a]
+        return self._perms()[a]
 
     def perm_index(self, images):
-        if self.kind != "sym":
-            raise ValueError("not a symmetric group")
-        return self._index[tuple(images)]
+        """For symmetric groups, the element with the given image tuple."""
+        perms = self._perms()
+        images = tuple(images)
+        i = bisect_left(perms, images)
+        if i == len(perms) or perms[i] != images:
+            raise ValueError(f"{images!r} is not an element of {self.descriptor()}")
+        return i
 
     def regular_embedding(self):
         """The left regular representation into Sym(G).
 
         Returns the target group Sym({0..order-1}) and the index map sending
-        each element a to left multiplication by a.
+        each element a to left multiplication by a, whose images are row a.
         """
         target = CoeffGroup.symmetric(self.order)
-        mapping = tuple(
-            target.perm_index(tuple(self.mul(a, h) for h in range(self.order)))
-            for a in range(self.order)
-        )
-        return target, mapping
+        return target, tuple(target.perm_index(row) for row in self.table)
 
     def descriptor(self):
-        if self.kind == "sym":
-            return f"Sym({self.points})"
-        if self.kind == "ab":
-            return self._group.descriptor()
-        return f"cayley({self.order})"
+        return self._descriptor
 
     def _key(self):
-        if self.kind == "sym":
-            return ("sym", self.points)
-        if self.kind == "ab":
-            return ("ab", self._group.moduli)
-        return ("cayley", self._table, self._labels)
+        return (self._descriptor, self.labels, self.table)
 
     def __eq__(self, other):
         return isinstance(other, CoeffGroup) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self._descriptor, self.labels))
 
     def __repr__(self):
         return f"CoeffGroup({self.descriptor()})"
-
-
-def _check_group_table(table):
-    n = len(table)
-    t = tuple(tuple(int(v) for v in row) for row in table)
-    if any(len(r) != n or any(not 0 <= v < n for v in r) for r in t):
-        raise ValueError("Cayley table is not square over 0..n-1")
-    identity = None
-    for e in range(n):
-        if all(t[e][x] == x and t[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise ValueError("Cayley table has no identity")
-    inverses = []
-    for x in range(n):
-        inv = next((y for y in range(n) if t[x][y] == identity and t[y][x] == identity), None)
-        if inv is None:
-            raise ValueError(f"element {x} has no inverse")
-        inverses.append(inv)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise ValueError(f"Cayley table not associative at {(a, b, c)}")
-    return t, identity, tuple(inverses)
 
 
 def parse_coeff_descriptor(text):
@@ -816,10 +792,6 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
     group element, so classes are buckets under pointwise conjugation; the
     representative of each class is its lexicographically least table.
     """
-    if coeff.order > MAX_CONJUGATION_ORDER:
-        raise BudgetExceeded(
-            f"conjugacy bucketing is capped at coefficient order {MAX_CONJUGATION_ORDER}"
-        )
     cocycles = normalized_cocycles(quandle, coeff, u, node_budget)
     canonical = set()
     for beta in cocycles:

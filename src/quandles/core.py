@@ -21,7 +21,7 @@ from .errors import (
     NotLeftQuasigroup,
     SubgroupNotFixed,
 )
-from .perms import DEFAULT_CLOSURE_CAP, Perm, PermGroup, orbit
+from .perms import DEFAULT_CLOSURE_CAP, Perm, PermGroup, orbit, permutation_table
 
 
 def _validate_table(table):
@@ -359,12 +359,11 @@ def coset_quandle(group, subgroup, automorphism):
             auto = list(automorphism)
         return CosetQuandle(table, sub, auto)
     if isinstance(group, PermGroup):
-        elems = sorted(group.elements(), key=lambda p: p.images)
+        elems, table = permutation_table(p.images for p in group.elements())
         index = {p: i for i, p in enumerate(elems)}
-        table = [[index[a * b] for b in elems] for a in elems]
-        sub = [index[p] if isinstance(p, Perm) else int(p) for p in subgroup]
+        sub = [index[p.images] if isinstance(p, Perm) else int(p) for p in subgroup]
         if automorphism and isinstance(next(iter(automorphism)), Perm):
-            auto = [index[p] for p in automorphism]
+            auto = [index[p.images] for p in automorphism]
         else:
             auto = list(automorphism)
         return CosetQuandle(table, sub, auto)

@@ -103,66 +103,59 @@ def ker_left_section(quandle):
     return Congruence.from_blocks(quandle, list(groups.values()))
 
 
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    """Merge the classes of x and y under the lesser root; True if they differed."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return False
+    parent[max(rx, ry)] = min(rx, ry)
+    return True
+
+
+def _congruence_of(quandle, parent):
+    groups = {}
+    for x in range(quandle.size):
+        groups.setdefault(_find(parent, x), []).append(x)
+    return Congruence.from_blocks(quandle, list(groups.values()))
+
+
 def principal_congruence(quandle, a, b):
     """The least congruence identifying a and b, by merge-and-close."""
     q = quandle
     n = q.size
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-            return True
-        return False
-
-    union(a, b)
+    _union(parent, a, b)
     changed = True
     while changed:
         changed = False
         for u in range(n):
             for v in range(u + 1, n):
-                if find(u) == find(v):
+                if _find(parent, u) == _find(parent, v):
                     for x in range(n):
-                        if union(q.op(x, u), q.op(x, v)):
+                        if _union(parent, q.op(x, u), q.op(x, v)):
                             changed = True
-                        if union(q.op(u, x), q.op(v, x)):
+                        if _union(parent, q.op(u, x), q.op(v, x)):
                             changed = True
-    groups = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return Congruence.from_blocks(q, list(groups.values()))
+    return _congruence_of(q, parent)
 
 
 def _join(c1, c2):
-    q = c1.quandle
-    n = q.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(c1.quandle.size))
     for cong in (c1, c2):
         for block in cong.blocks:
             for x in block[1:]:
-                rx, ry = find(block[0]), find(x)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    groups = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
+                _union(parent, block[0], x)
     # the join of congruences is transitive-closure of the union, which is
     # again compatible, so no re-closure is needed
-    return Congruence.from_blocks(q, list(groups.values()))
+    return _congruence_of(c1.quandle, parent)
 
 
 def all_congruences(quandle, cap=CONGRUENCE_SIZE_CAP):
@@ -282,10 +275,8 @@ def is_dynamical_cocycle(quandle, fiber_size, values):
 def lift_constant(beta):
     """View a constant cocycle into Sym(S) as a dynamical cocycle."""
     coeff = beta.coeff
-    if coeff.kind != "sym":
-        raise ValueError("extensions need a cocycle with symmetric coefficients")
     n = beta.quandle.size
-    m = coeff.points
+    m = coeff.points  # ValueError unless the coefficients are a symmetric group
     values = [
         [tuple(coeff.perm_images(beta.values[x][y]) for _ in range(m)) for y in range(n)]
         for x in range(n)

@@ -180,6 +180,20 @@ def orbit(generators, point):
     return frozenset(seen)
 
 
+def permutation_table(images):
+    """Sort a composition-closed set of image tuples and tabulate it.
+
+    Returns the sorted image tuples and the Cayley table over their indices,
+    with ``table[a][b]`` the index of ``a * b`` (``b`` applied first).
+    """
+    elems = tuple(sorted(images))
+    index = {p: i for i, p in enumerate(elems)}
+    table = tuple(
+        tuple(index[tuple(map(a.__getitem__, b))] for b in elems) for a in elems
+    )
+    return elems, table
+
+
 def pair_perm(p):
     """The induced permutation of ordered pairs, indexed by x*n + y."""
     n = p.degree

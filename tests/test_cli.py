@@ -108,6 +108,11 @@ def test_h2c_not_latin(capsys, table_files):
 def test_h2c_budget(capsys, table_files):
     code, _, err = run(capsys, "h2c", table_files["q4"], "Z2", "--budget", "0")
     assert code == 3
+    # coefficient groups above the order cap are refused before they are built
+    for coeff in ("Sym(11)", "Z 100000 x Z 100000"):
+        code, _, err = run(capsys, "h2c", table_files["r3"], coeff)
+        assert code == 3
+        assert "order cap" in err
 
 
 def test_pi1_command(capsys):

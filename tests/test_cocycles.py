@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandles as q
+from quandles.abelian import FinAbGroup
 from quandles.cocycles import (
     CoeffGroup,
     ConstantCocycle,
@@ -45,19 +47,34 @@ def brute_force_cocycles(quandle, coeff):
 
 
 def test_symmetric_coeff_group():
-    s3 = CoeffGroup.symmetric(3)
-    assert s3.order == 6
-    assert s3.points == 3
-    e = s3.identity
-    assert all(s3.mul(e, a) == a == s3.mul(a, e) for a in range(6))
-    for a in range(6):
-        assert s3.mul(a, s3.inv(a)) == e
-    # composition matches permutation composition
-    pa, pb = s3.perm_images(2), s3.perm_images(4)
-    composed = tuple(pa[i] for i in pb)
-    assert s3.perm_images(s3.mul(2, 4)) == composed
-    sizes = sorted(len(c) for c in s3.conjugacy_classes())
-    assert sizes == [1, 2, 3]
+    for points, order, class_sizes in ((3, 6, [1, 2, 3]), (4, 24, [1, 3, 6, 6, 8])):
+        sym = CoeffGroup.symmetric(points)
+        assert sym.order == order
+        assert sym.points == points
+        e = sym.identity
+        assert all(sym.mul(e, a) == a == sym.mul(a, e) for a in range(order))
+        for a in range(order):
+            assert sym.mul(a, sym.inv(a)) == e
+        # composition matches permutation composition
+        for a in range(order):
+            pa = sym.perm_images(a)
+            for b in range(order):
+                pb = sym.perm_images(b)
+                assert sym.perm_images(sym.mul(a, b)) == tuple(pa[i] for i in pb)
+        sizes = sorted(len(c) for c in sym.conjugacy_classes())
+        assert sizes == class_sizes
+
+
+def test_coeff_order_cap_checked_before_enumeration():
+    for build in (
+        lambda: CoeffGroup.symmetric(11),
+        lambda: CoeffGroup.abelian((100000, 100000)),
+        lambda: parse_coeff_descriptor("Sym(7)"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            build()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_abelian_coeff_group():
@@ -66,6 +83,24 @@ def test_abelian_coeff_group():
     assert z22.identity == 0
     assert z22.is_abelian()
     assert all(len(c) == 1 for c in z22.conjugacy_classes())
+    assert z22 == CoeffGroup.abelian(FinAbGroup((2, 2)))
+    assert CoeffGroup.symmetric(2) != CoeffGroup.abelian((2,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 8), max_size=3))
+def test_abelian_table_matches_tuple_arithmetic(moduli):
+    group = FinAbGroup(tuple(moduli))
+    elems = group.elements()
+    table = group.cayley_table()
+    assert all(
+        table[i][j] == group.index_of(group.add(x, y))
+        for i, x in enumerate(elems)
+        for j, y in enumerate(elems)
+    )
+    coeff = CoeffGroup.abelian(group)
+    assert coeff.table == table
+    assert coeff.inverses == tuple(group.index_of(group.neg(x)) for x in elems)
 
 
 def test_cayley_coeff_group():

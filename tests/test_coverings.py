@@ -75,6 +75,12 @@ def test_extend_all_r3_cocycles(r3):
         assert ext.fiber_congruence().is_uniform
 
 
+def test_extend_needs_symmetric_coefficients(q4):
+    z2 = CoeffGroup.abelian((2,))
+    with pytest.raises(ValueError):
+        extend(q4, ConstantCocycle(q4, z2, beta_a_table(q4, z2, 1)))
+
+
 def test_extend_rejects_invalid():
     r3 = q.dihedral_quandle(3)
     values = [
