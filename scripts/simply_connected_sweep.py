@@ -2,8 +2,9 @@
 """Sweep connected affine quandles and report their fundamental groups.
 
 Covers every connected Q(Z_m, lambda_n) with m up to a bound, plus the
-doubly transitive families over Z_2^3, Z_3^2 and Z_5; the order-4 quandle is
-the lone non-simply-connected entry at desk scale.
+doubly transitive quandles Aff(F_q, omega) for q = 4, 8, 9, 16, 32 and 81,
+with omega multiplication by a primitive element; the order-4 quandle is the
+lone non-simply-connected entry.
 """
 
 import argparse
@@ -34,6 +35,12 @@ def special_family():
         ("Q(Z_3^2, 8-cycle)", (3, 3), [[0, 1], [1, 2]]),
         ("Q(Z_2^4, 15-cycle)", (2, 2, 2, 2),
          [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        # companion matrices of x^5 + x^2 + 1 over F_2 and x^4 + x + 2 over F_3
+        ("Q(Z_2^5, 31-cycle)", (2, 2, 2, 2, 2),
+         [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 1, 0, 0],
+          [0, 0, 0, 1, 0]]),
+        ("Q(Z_3^4, 80-cycle)", (3, 3, 3, 3),
+         [[0, 0, 0, 1], [1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]]),
     ]
     rows = []
     for name, moduli, matrix in cases:

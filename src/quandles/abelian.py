@@ -5,6 +5,9 @@ are integer matrices acting on column vectors. Groups are stored exactly in
 the moduli form they were supplied in (no silent normalization to invariant
 factors); :func:`quotient_invariants` is the one canonicalizing operation,
 and it goes through an integer Smith normal form.
+Subgroups are never enumerated: each is an echelon basis of its preimage
+lattice in Z^k (Cohen, GTM 138, section 2.4), which gives its order,
+membership and least coset representatives in time polynomial in the rank.
 """
 
 from __future__ import annotations
@@ -13,10 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-
-from .errors import CapExceeded
-
-DEFAULT_SUBGROUP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -245,11 +244,13 @@ class AbHom:
         return AbHom(other.source, self.target, rows)
 
     def is_automorphism(self):
-        """True iff source == target and the map permutes the element set."""
+        """True iff source == target and the images of the generators span it.
+
+        A surjective endomorphism of a finite group is bijective.
+        """
         if self.source != self.target:
             return False
-        elems = self.source.elements()
-        return len({self(x) for x in elems}) == len(elems)
+        return subgroup_generated(self.target, zip(*self.matrix)).order == self.target.order
 
     def inverse(self):
         if not self.is_automorphism():
@@ -356,31 +357,45 @@ def twisted_tensor_relators(g, alpha):
 
 @dataclass(frozen=True)
 class SubgroupData:
-    """A subgroup with its generators and full element enumeration."""
+    """The subgroup of ``ambient`` generated by ``generators``, held as an
+    echelon basis of the lattice <generators> + sum d_i Z e_i: row i is zero
+    before column i and its pivot ``basis[i][i]`` divides d_i."""
 
     ambient: FinAbGroup
     generators: tuple[tuple[int, ...], ...]
-    element_set: frozenset
     order: int
+    basis: tuple[tuple[int, ...], ...]
+
+    def coset_rep(self, x):
+        """The least element of x + H in tuple order: once the earlier coordinates
+        are fixed, coordinate i is free exactly modulo pivot i."""
+        x = list(self.ambient.check(x))
+        for i, row in enumerate(self.basis):
+            q = x[i] // row[i]
+            if q:
+                x = [(a - q * b) % d for a, b, d in zip(x, row, self.ambient.moduli)]
+        return tuple(x)
+
+    def __contains__(self, x):
+        return not any(self.coset_rep(x))
 
 
-def subgroup_generated(g, gens, cap=DEFAULT_SUBGROUP_CAP):
-    """Enumerate the subgroup generated by ``gens`` (breadth-first closure)."""
-    if g.order > cap:
-        raise CapExceeded(f"ambient order {g.order} exceeds cap {cap}")
+def subgroup_generated(g, gens):
+    """The subgroup generated by ``gens``: each generator is folded into the
+    basis d_i e_i column by column by Euclid's algorithm on rows, with entries
+    reduced mod the moduli so that they never grow."""
     gens = tuple(g.check(x) for x in gens)
-    elements = {g.zero}
-    frontier = [g.zero]
-    while frontier:
-        new = []
-        for x in frontier:
-            for h in gens:
-                y = g.add(x, h)
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-        frontier = new
-    return SubgroupData(g, gens, frozenset(elements), len(elements))
+    basis = [[d * (i == j) for j in range(g.rank)] for i, d in enumerate(g.moduli)]
+    for v in gens:
+        for i in range(g.rank):
+            row = basis[i]
+            while v[i]:
+                q = row[i] // v[i]
+                tail = [(a - q * b) % d for a, b, d in zip(row[i:], v[i:], g.moduli[i:])]
+                row, v = v, [0] * i + tail
+            basis[i] = row
+    order = g.order // math.prod(row[i] for i, row in enumerate(basis))
+    return SubgroupData(g, gens, order, tuple(map(tuple, basis)))
 
 
 def smith_normal_form(matrix):
@@ -457,20 +472,8 @@ def smith_normal_form(matrix):
 
 
 def quotient_invariants(g, subgroup):
-    """Invariant factors of g / subgroup, via the Smith normal form of the
-    relation matrix [diag(moduli) | generator columns]."""
+    """Invariant factors of g / subgroup: the Smith normal form of the
+    subgroup's echelon basis, whose rows span its preimage lattice."""
     if subgroup.ambient != g:
         raise ValueError("subgroup does not live in the given group")
-    k = g.rank
-    if k == 0:
-        return ()
-    columns = []
-    for i in range(k):
-        col = [0] * k
-        col[i] = g.moduli[i]
-        columns.append(col)
-    for gen in subgroup.generators:
-        columns.append(list(gen))
-    matrix = [[columns[c][r] for c in range(len(columns))] for r in range(k)]
-    diag = smith_normal_form(matrix)
-    return tuple(d for d in diag if d > 1)
+    return tuple(d for d in smith_normal_form(subgroup.basis) if d > 1)

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .abelian import DEFAULT_SUBGROUP_CAP, AbHom, FinAbGroup
+from .abelian import AbHom, FinAbGroup
 from .cocycles import (
     DEFAULT_H2C_NODE_BUDGET,
     cocycle_from_json,
@@ -23,9 +23,9 @@ from .cocycles import (
     h2c,
     parse_coeff_descriptor,
 )
-from .core import AffineQuandle, load_quandle_file
+from .core import _require_automorphism, affine_is_connected, load_quandle_file
 from .errors import AxiomError, BudgetExceeded, CapExceeded, QuandleError
-from .knots import cocycle_invariant, col_count, colorings, parse_gauss
+from .knots import cocycle_invariant, parse_gauss
 from .coverings import is_covering
 from .perms import DEFAULT_CLOSURE_CAP
 from .pi1 import pi1_presentation
@@ -101,13 +101,12 @@ def cmd_h2c(args):
 
 def cmd_pi1(args):
     group = FinAbGroup.from_descriptor(args.group)
-    matrix = json.loads(args.matrix)
-    alpha = AbHom(group, group, matrix)
-    quandle = AffineQuandle(group, alpha)
-    if not (AbHom.identity(group) - alpha).is_automorphism():
+    alpha = AbHom(group, group, json.loads(args.matrix))
+    _require_automorphism(group, alpha)
+    if not affine_is_connected(group, alpha):
         print("not connected: 1 - alpha is not an automorphism", file=sys.stderr)
         return EXIT_NEGATIVE
-    pres = pi1_presentation(group, alpha, cap=args.subgroup_cap)
+    pres = pi1_presentation(group, alpha)
     payload = {
         "group": group.descriptor(),
         "pi1": list(pres.invariants),
@@ -115,7 +114,7 @@ def cmd_pi1(args):
         "relator_subgroup_order": pres.relator_order,
         "relators": [list(r) for r in pres.relators],
         "simply_connected": pres.is_trivial(),
-        "quandle_size": quandle.size,
+        "quandle_size": group.order,
     }
     lines = [
         f"pi1: {_invariants_text(pres.invariants)}",
@@ -144,9 +143,10 @@ def cmd_knot(args):
     with open(args.cocycle, "r", encoding="ascii") as fh:
         beta = cocycle_from_json(json.load(fh), quandle=q, coeff=coeff)
     diagram = parse_gauss(args.gauss)
-    total = len(colorings(diagram, q))
-    count = col_count(diagram, q)
     invariant = cocycle_invariant(diagram, q, beta)
+    # one label per non-monochromatic coloring; all constant ones are valid
+    count = len(invariant)
+    total = count + q.size
     payload = {
         "colorings": total,
         "col_count": count,
@@ -216,7 +216,6 @@ def build_parser():
     p = sub.add_parser("pi1", help="fundamental group of a connected affine quandle")
     p.add_argument("group", help="abelian group descriptor, e.g. 'Z 2 x Z 2'")
     p.add_argument("matrix", help="automorphism matrix as JSON, e.g. [[1,1],[1,0]]")
-    p.add_argument("--subgroup-cap", type=int, default=DEFAULT_SUBGROUP_CAP)
     p.set_defaults(fn=cmd_pi1)
 
     p = sub.add_parser("cover", help="covering checks")

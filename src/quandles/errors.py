@@ -6,7 +6,7 @@ class QuandleError(Exception):
 
 
 class CapExceeded(QuandleError):
-    """An exhaustive enumeration (group closure, subgroup generation) hit its cap."""
+    """An exhaustive enumeration (such as a permutation group closure) hit its cap."""
 
 
 class BudgetExceeded(QuandleError):

@@ -1,5 +1,7 @@
 """Shared corpus of desk-scale quandles and coefficient groups."""
 
+import math
+
 import pytest
 
 import quandles as q
@@ -46,6 +48,41 @@ DOUBLY_TRANSITIVE_NAMES = {
     "z3sq_8cycle",
     "z2fourth",
 }
+
+
+def enumerate_subgroup(group, gens):
+    """Breadth-first closure of ``gens``: the oracle for the echelon lattice."""
+    elements = {group.zero}
+    frontier = [group.zero]
+    while frontier:
+        new = []
+        for x in frontier:
+            for h in gens:
+                y = group.add(x, h)
+                if y not in elements:
+                    elements.add(y)
+                    new.append(y)
+        frontier = new
+    return elements
+
+
+def endomorphism(group, entries):
+    """The endomorphism of ``group`` with entry (i, j) = entries[i*k + j] times
+    d_i / gcd(d_i, d_j), which makes every choice of entries well defined."""
+    d, k = group.moduli, group.rank
+    matrix = [[entries[i * k + j] * (d[i] // math.gcd(d[i], d[j])) for j in range(k)]
+              for i in range(k)]
+    return q.AbHom(group, group, matrix)
+
+
+def least_coset_reps(group, subgroup_elements):
+    """Map each element x to the least element of x + H, sweeping in tuple order."""
+    rep = {}
+    for x in group.elements():
+        if x not in rep:
+            for h in subgroup_elements:
+                rep[group.add(x, h)] = x
+    return rep
 
 
 def build_affine(name):

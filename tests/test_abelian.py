@@ -13,25 +13,25 @@ from quandles.abelian import (
     tensor_square,
     twisted_tensor_relators,
 )
-from quandles.errors import CapExceeded
+from conftest import endomorphism, enumerate_subgroup, least_coset_reps
 
 
 def quotient_order_multiset(group, sub):
     """Brute-force oracle: coset count and coset orders by direct enumeration."""
-    shifts = sorted(sub.element_set)
-    reps = {}
-    for x in group.elements():
-        canon = min(group.add(x, s) for s in shifts)
-        reps[canon] = x
+    elements = enumerate_subgroup(group, sub.generators)
     orders = []
-    for x in reps.values():
+    for x in set(least_coset_reps(group, elements).values()):
         n = 1
         cur = x
-        while cur not in sub.element_set:
+        while cur not in elements:
             cur = group.add(cur, x)
             n += 1
         orders.append(n)
     return sorted(orders)
+
+
+# groups of rank <= 3 with moduli <= 8, trivial factors included
+small_moduli = st.lists(st.integers(1, 8), max_size=3)
 
 
 def invariant_order_multiset(invariants):
@@ -148,7 +148,8 @@ def test_relators_order4_example():
     ]
     span = subgroup_generated(t.group, relators)
     target = subgroup_generated(t.group, target_gens)
-    assert span.element_set == target.element_set
+    assert all(x in span for x in target_gens) and all(x in target for x in relators)
+    assert enumerate_subgroup(t.group, relators) == enumerate_subgroup(t.group, target_gens)
     assert span.order == 8
 
 
@@ -172,14 +173,33 @@ def test_subgroup_generated_examples():
     g = FinAbGroup((6,))
     assert subgroup_generated(g, [(0,)]).order == 1
     sub = subgroup_generated(g, [(4,)])
-    assert sub.element_set == frozenset({(0,), (2,), (4,)})
+    assert {x for x in g.elements() if x in sub} == {(0,), (2,), (4,)}
     assert sub.order == 3
+    assert [sub.coset_rep(x) for x in g.elements()] == [(0,), (1,), (0,), (1,), (0,), (1,)]
 
 
-def test_subgroup_cap():
-    g = FinAbGroup((7, 7, 7, 7, 7, 7, 7, 7))
-    with pytest.raises(CapExceeded):
-        subgroup_generated(g, [g.zero], cap=10**6)
+@settings(max_examples=150, deadline=None)
+@given(small_moduli, st.data())
+def test_lattice_matches_enumeration(moduli, data):
+    group = FinAbGroup(tuple(moduli))
+    gens = data.draw(st.lists(st.sampled_from(group.elements()), max_size=3))
+    sub = subgroup_generated(group, gens)
+    elements = enumerate_subgroup(group, gens)
+    assert sub.order == len(elements)
+    reps = least_coset_reps(group, elements)
+    for x in group.elements():
+        assert (x in sub) == (x in elements)
+        assert sub.coset_rep(x) == reps[x]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_moduli, st.data())
+def test_is_automorphism_matches_bijectivity(moduli, data):
+    group = FinAbGroup(tuple(moduli))
+    entries = st.lists(st.integers(0, 7), min_size=group.rank**2, max_size=group.rank**2)
+    h = endomorphism(group, data.draw(entries))
+    images = {h(x) for x in group.elements()}
+    assert h.is_automorphism() == (len(images) == group.order)
 
 
 def test_quotient_invariants_examples():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ import quandles as q
 from quandles.cli import main
 from quandles.cocycles import CoeffGroup, ConstantCocycle, cocycle_to_json
 from quandles.knots import GAUSS_CODES
+from quandles.pi1 import MAX_PI1_RANK
 from conftest import beta_a_table
 
 
@@ -127,6 +129,32 @@ def test_pi1_command(capsys):
     code, _, err = run(capsys, "pi1", "Z4", "[[3]]")
     assert code == 1
     assert "not connected" in err
+    code, _, err = run(capsys, "pi1", "Z4", "[[2]]")
+    assert code == 1
+    assert "NotAutomorphism" in err
+    code, _, _ = run(capsys, "pi1", "Z9", "[[2]]", "--subgroup-cap", "10")
+    assert code == 2
+
+
+def test_pi1_needs_no_table(capsys):
+    # Q(Z_1001, 3) is connected and cyclic, so simply connected; its
+    # million-entry table is never built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pi1", "Z 1001", "[[3]]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "pi1: trivial" in out
+
+
+def test_pi1_rank_limit(capsys):
+    k = MAX_PI1_RANK + 1
+    group = " x ".join(["Z 3"] * k)
+    minus_one = json.dumps([[2 * (i == j) for j in range(k)] for i in range(k)])
+    start = time.perf_counter()
+    code, _, err = run(capsys, "pi1", group, minus_one)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "budget exceeded" in err
 
 
 def test_cover_verify(capsys, tmp_path, table_files, r3):

@@ -1,8 +1,12 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import quandles as q
+from conftest import AFFINE_CORPUS_DEFS, endomorphism
+from quandles.core import _validate_table
 from quandles.errors import (
     NotAutomorphism,
     NotClosedUnderConjugation,
@@ -174,6 +178,42 @@ def test_structure_flags(r3, q4):
     assert not q.projection_quandle(2).is_connected()
     assert q4.semiregular_length() == 3
     assert (q4.size - 1) % q4.semiregular_length() == 0
+
+
+def check_affine_construction(group, alpha):
+    """The axioms, the formula x + alpha(y - x) and connectivity, re-proved
+    on the table that AffineQuandle builds without validating it."""
+    quandle = q.AffineQuandle(group, alpha)
+    assert _validate_table(quandle.table) == quandle.table
+    elems = group.elements()
+    for x, xe in enumerate(elems):
+        assert [elems[v] for v in quandle.table[x]] == [
+            group.add(xe, alpha(group.sub(ye, xe))) for ye in elems
+        ]
+    assert q.affine_is_connected(group, alpha) == quandle.is_connected()
+
+
+def test_affine_construction_on_corpus():
+    for _, moduli, matrix in AFFINE_CORPUS_DEFS:
+        group = q.FinAbGroup(moduli)
+        check_affine_construction(group, q.AbHom(group, group, matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 8), max_size=3).filter(lambda m: math.prod(m) <= 64),
+    st.data(),
+)
+def test_affine_construction_on_random_groups(moduli, data):
+    group = q.FinAbGroup(tuple(moduli))
+    entries = st.lists(st.integers(0, 7), min_size=group.rank**2, max_size=group.rank**2)
+    for _ in range(20):
+        alpha = endomorphism(group, data.draw(entries))
+        if alpha.is_automorphism():
+            break
+    else:
+        reject()
+    check_affine_construction(group, alpha)
 
 
 def test_affine_is_connected():

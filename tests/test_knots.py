@@ -134,6 +134,20 @@ def test_simply_connected_base_gives_trivial_invariant(r3):
             assert set(invariant) <= {identity_label}, name
 
 
+def test_counts_follow_from_the_invariant(q4, r3):
+    # the CLI reads both coloring counts off the invariant's length
+    r5 = q.dihedral_quandle(5)
+    s2 = CoeffGroup.symmetric(2)
+    for quandle in (r3, q4, r5):
+        beta = q.trivial_cocycle(quandle, s2)
+        for name, code in GAUSS_CODES.items():
+            diagram = parse_gauss(code)
+            total = len(colorings(diagram, quandle))
+            invariant = cocycle_invariant(diagram, quandle, beta)
+            assert col_count(diagram, quandle) == len(invariant), name
+            assert total == len(invariant) + quandle.size, name
+
+
 GOLDEN_Q4_TREFOIL = ("(1)",) * 12
 
 

@@ -4,14 +4,22 @@ from itertools import product
 import pytest
 
 import quandles as q
-from quandles.errors import NotConnected
+from conftest import enumerate_subgroup, least_coset_reps
+from quandles.errors import BudgetExceeded, NotConnected
 from quandles.pi1 import (
+    MAX_PI1_RANK,
     EnvelopeElement,
     envelope_identity,
     envelope_inverse,
     envelope_mul,
     pi1_presentation,
 )
+
+
+def companion(coeffs):
+    """Companion matrix of x^k - c_{k-1} x^{k-1} - ... - c_0, acting on columns."""
+    k = len(coeffs)
+    return [[coeffs[i] if j == k - 1 else int(i == j + 1) for j in range(k)] for i in range(k)]
 
 
 def test_order_four_quandle_numbers(q4):
@@ -29,6 +37,43 @@ def test_cyclic_connected_always_trivial():
         quandle = q.affine_quandle(group, q.AbHom.scaling(group, n))
         assert q.pi1_affine(quandle) == ()
         assert q.is_simply_connected_affine(quandle)
+
+
+@pytest.mark.parametrize(
+    "p, coeffs",
+    [
+        (2, [1, 0, 1, 0, 0]),  # x^5 + x^2 + 1 over F_2
+        (3, [1, 2, 0, 0]),  # x^4 + x + 2 over F_3
+    ],
+)
+def test_doubly_transitive_orders_32_and_81(p, coeffs):
+    k = len(coeffs)
+    group = q.FinAbGroup((p,) * k)
+    alpha = q.AbHom(group, group, companion(coeffs))
+    identity = q.AbHom.identity(group)
+    power, order = alpha, 1
+    while power != identity:
+        power, order = power.compose(alpha), order + 1
+    assert order == p**k - 1  # alpha is multiplication by a primitive element of F_q
+    assert q.pi1_affine(q.affine_quandle(group, alpha)) == ()
+
+
+def test_pi1_rank_limit():
+    group = q.FinAbGroup((3,) * (MAX_PI1_RANK + 1))
+    minus_one = q.AbHom.scaling(group, -1)
+    assert q.affine_is_connected(group, minus_one)
+    with pytest.raises(BudgetExceeded):
+        pi1_presentation(group, minus_one)
+
+
+def test_coset_rep_matches_enumeration(affine_corpus):
+    for name, quandle in affine_corpus:
+        pres = pi1_presentation(quandle.group, quandle.alpha)
+        square = pres.tensor.group
+        if square.order > 4096:
+            continue
+        reps = least_coset_reps(square, enumerate_subgroup(square, pres.relators))
+        assert all(pres.coset_rep(x) == reps[x] for x in square.elements()), name
 
 
 def test_trivial_group_trivial_pi1():
@@ -131,7 +176,7 @@ def test_diagonal_tensors_congruent_under_alpha(affine_corpus):
             diff = square.group.sub(
                 square.pure_tensor(x, x), square.pure_tensor(ax, ax)
             )
-            assert diff in pres.relator_subgroup.element_set, name
+            assert diff in pres.relator_subgroup, name
 
 
 def test_doubly_transitive_large_tensors_vanish(doubly_transitive_corpus):
@@ -144,7 +189,7 @@ def test_doubly_transitive_large_tensors_vanish(doubly_transitive_corpus):
         for x in quandle.group.elements():
             for y in quandle.group.elements():
                 assert (
-                    square.pure_tensor(x, y) in pres.relator_subgroup.element_set
+                    square.pure_tensor(x, y) in pres.relator_subgroup
                 ), name
 
 
