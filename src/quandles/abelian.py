@@ -420,6 +420,8 @@ def smith_normal_form(matrix):
                 v = abs(a[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:  # no entry is smaller: this is the first minimum
+                        return best
         return best
 
     t = 0

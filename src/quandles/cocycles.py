@@ -252,13 +252,13 @@ def cocycle_witness(quandle, coeff, values):
         if values[x][x] != coeff.identity:
             return ("diagonal", (x,))
     t = quandle.table
-    mul = coeff.mul
+    mul = coeff.table
     for x in range(n):
+        tx, vx = t[x], values[x]
         for y in range(n):
+            ty, vy, lr = t[y], values[y], values[tx[y]]
             for z in range(n):
-                left = mul(values[t[x][y]][t[x][z]], values[x][z])
-                right = mul(values[x][t[y][z]], values[y][z])
-                if left != right:
+                if mul[lr[tx[z]]][vx[z]] != mul[vx[ty[z]]][vy[z]]:
                     return ("cocycle", (x, y, z))
     return None
 
@@ -320,13 +320,14 @@ def trivial_cocycle(quandle, coeff):
 
 def weak_cocycle_check(beta):
     """The weaker condition: beta(xy, xz) = beta(x, yz) iff beta(x, z) = beta(y, z)."""
-    q, v = beta.quandle, beta.values
-    n = q.size
-    t = q.table
+    t, v = beta.quandle.table, beta.values
+    n = len(t)
     for x in range(n):
+        tx, vx = t[x], v[x]
         for y in range(n):
+            ty, vy, lr = t[y], v[y], v[tx[y]]
             for z in range(n):
-                if (v[t[x][y]][t[x][z]] == v[x][t[y][z]]) != (v[x][z] == v[y][z]):
+                if (lr[tx[z]] == vx[ty[z]]) != (vx[z] == vy[z]):
                     return False
     return True
 
@@ -689,6 +690,13 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     the rest are assigned by backtracking, smallest orbit first, with the
     cocycle condition propagated eagerly after every assignment. Every
     emitted table is re-verified from scratch.
+
+    The cocycle instances are collected only for x over one point of each
+    cycle of L_u (row u of the table), with all y and z. That loses none:
+    L_u is an automorphism, so the instance at (u*x, u*y, u*z) involves the
+    g-images (u*a, u*b) of the pairs (a, b) of the one at (x, y, z), and
+    every orbit is a union of g-orbits. The instance set, and with it the
+    propagation order and the results, is the one all n^3 triples give.
     """
     if not quandle.is_latin:
         raise NotLatin("cocycle enumeration needs a latin quandle")
@@ -696,33 +704,33 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     n = q.size
     part = full_partition(q, u, "fgh")
     nblocks = len(part.blocks)
-    block_of = part.block_of
     e = coeff.identity
     values = [None] * nblocks
+    # blk[x*n + y] is the orbit of the pair (x, y)
+    blk = [0] * (n * n)
     for i, block in enumerate(part.blocks):
-        if any(x == y or x == u or y == u for (x, y) in block):
-            values[i] = e
+        for x, y in block:
+            blk[x * n + y] = i
+            if x == y or x == u or y == u:
+                values[i] = e
 
     t = q.table
+    rows = [blk[x * n:(x + 1) * n] for x in range(n)]
     instances = set()
-    for x in range(n):
+    add = instances.add
+    for x, *_ in q.left_section[u].cycles(include_fixed=True):
+        tx, bx = t[x], rows[x]
         for y in range(n):
+            ty, by, bxy = t[y], rows[y], rows[tx[y]]
             for z in range(n):
-                instances.add(
-                    (
-                        block_of((t[x][y], t[x][z])),
-                        block_of((x, z)),
-                        block_of((x, t[y][z])),
-                        block_of((y, z)),
-                    )
-                )
+                add((bxy[tx[z]], bx[z], bx[ty[z]], by[z]))
     instances = sorted(instances)
 
     branch_order = sorted(
         (i for i in range(nblocks) if values[i] is None),
         key=lambda i: (len(part.blocks[i]), i),
     )
-    mul, inv = coeff.mul, coeff.inv
+    mul, inv = coeff.table, coeff.inverses
     results = []
     nodes = 0
 
@@ -736,28 +744,28 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
                     (va is not None) + (vb is not None) + (vc is not None) + (vd is not None)
                 )
                 if known == 4:
-                    if mul(va, vb) != mul(vc, vd):
+                    if mul[va][vb] != mul[vc][vd]:
                         return False
                 elif known == 3:
                     if va is None:
                         if a in (b, c, d):
                             continue
-                        values[a] = mul(mul(vc, vd), inv(vb))
+                        values[a] = mul[mul[vc][vd]][inv[vb]]
                         trail.append(a)
                     elif vb is None:
                         if b in (a, c, d):
                             continue
-                        values[b] = mul(inv(va), mul(vc, vd))
+                        values[b] = mul[inv[va]][mul[vc][vd]]
                         trail.append(b)
                     elif vc is None:
                         if c in (a, b, d):
                             continue
-                        values[c] = mul(mul(va, vb), inv(vd))
+                        values[c] = mul[mul[va][vb]][inv[vd]]
                         trail.append(c)
                     else:
                         if d in (a, b, c):
                             continue
-                        values[d] = mul(inv(vc), mul(va, vb))
+                        values[d] = mul[inv[vc]][mul[va][vb]]
                         trail.append(d)
                     changed = True
         return True
@@ -769,7 +777,8 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
             raise BudgetExceeded(f"cocycle search exceeded {node_budget} nodes")
         target = next((i for i in branch_order if values[i] is None), None)
         if target is None:
-            table = [[values[block_of((x, y))] for y in range(n)] for x in range(n)]
+            flat = [values[b] for b in blk]
+            table = [flat[x * n:(x + 1) * n] for x in range(n)]
             results.append(ConstantCocycle(q, coeff, table))
             return
         for candidate in range(coeff.order):
@@ -793,15 +802,22 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
     representative of each class is its lexicographically least table.
     """
     cocycles = normalized_cocycles(quandle, coeff, u, node_budget)
+    # one conjugation map a -> s a s^-1 per distinct action; an abelian
+    # group has just the identity map
+    table, inverses = coeff.table, coeff.inverses
+    conjugations = {
+        tuple(table[sa][inverses[s]] for sa in table[s]) for s in range(coeff.order)
+    }
+    # tables of equal shape compare like their row-major flattenings
+    n = quandle.size
     canonical = set()
     for beta in cocycles:
-        canonical.add(
-            min(
-                tuple(tuple(coeff.conj(s, v) for v in row) for row in beta.values)
-                for s in range(coeff.order)
-            )
-        )
-    return [ConstantCocycle(quandle, coeff, table) for table in sorted(canonical)]
+        flat = [v for row in beta.values for v in row]
+        canonical.add(min(tuple(map(c.__getitem__, flat)) for c in conjugations))
+    return [
+        ConstantCocycle(quandle, coeff, [flat[x * n:(x + 1) * n] for x in range(n)])
+        for flat in sorted(canonical)
+    ]
 
 
 def h2c_is_trivial(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):

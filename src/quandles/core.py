@@ -47,9 +47,11 @@ def _validate_table(table):
             positions[v] = y
     # left distributivity
     for x in range(n):
+        tx = t[x]
         for y in range(n):
+            ty, txy = t[y], t[tx[y]]
             for z in range(n):
-                if t[x][t[y][z]] != t[t[x][y]][t[x][z]]:
+                if tx[ty[z]] != txy[tx[z]]:
                     raise NotLeftDistributive(
                         "x(yz) != (xy)(xz)", (x, y, z)
                     )

@@ -240,10 +240,11 @@ def dynamical_witness(quandle, fiber_size, values):
     """
     n = quandle.size
     m = fiber_size
+    points = list(range(m))
     for x in range(n):
         for y in range(n):
             for s in range(m):
-                if sorted(values[x][y][s]) != list(range(m)):
+                if sorted(values[x][y][s]) != points:
                     return ("bijection", (x, y, s))
     for x in range(n):
         for s in range(m):
@@ -251,20 +252,19 @@ def dynamical_witness(quandle, fiber_size, values):
                 return ("quandle", (x, s))
     t = quandle.table
     for x in range(n):
+        tx, vx = t[x], values[x]
         for y in range(n):
+            ty, vy, vxy, vl = t[y], values[y], vx[y], values[tx[y]]
             for z in range(n):
+                left, right, vxz, vyz = vl[tx[z]], vx[ty[z]], vx[z], vy[z]
                 for s in range(m):
-                    bxys = values[x][y][s]
-                    bxzs = values[x][z][s]
+                    bxys, bxzs, right_outer = vxy[s], vxz[s], right[s]
                     for t_ in range(m):
-                        left_outer = values[t[x][y]][t[x][z]][bxys[t_]]
-                        right_outer = values[x][t[y][z]][s]
-                        byzt = values[y][z][t_]
-                        if any(
-                            left_outer[bxzs[w]] != right_outer[byzt[w]]
-                            for w in range(m)
-                        ):
-                            return ("cocycle", (x, y, z, s, t_))
+                        left_outer = left[bxys[t_]]
+                        byzt = vyz[t_]
+                        for w in range(m):
+                            if left_outer[bxzs[w]] != right_outer[byzt[w]]:
+                                return ("cocycle", (x, y, z, s, t_))
     return None
 
 
@@ -338,12 +338,12 @@ def extend(quandle, cocycle, fiber_size=None):
     n = quandle.size
     m = dyn.fiber_size
     table = []
-    for x in range(n):
+    for tx, vx in zip(quandle.table, dyn.values):
         for s in range(m):
             row = []
-            for y in range(n):
-                for t_ in range(m):
-                    row.append(quandle.op(x, y) * m + dyn.values[x][y][s][t_])
+            for xy, vxy in zip(tx, vx):
+                base = xy * m
+                row.extend(base + v for v in vxy[s])
             table.append(row)
     total = Quandle(table)
     projection = tuple(i // m for i in range(n * m))

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 import quandles as q
+from quandles.errors import NotIdempotent, NotLeftDistributive, NotLeftQuasigroup
 
 # connected affine quandles of order <= 16: (name, moduli, automorphism matrix)
 AFFINE_CORPUS_DEFS = [
@@ -73,6 +75,38 @@ def endomorphism(group, entries):
     matrix = [[entries[i * k + j] * (d[i] // math.gcd(d[i], d[j])) for j in range(k)]
               for i in range(k)]
     return q.AbHom(group, group, matrix)
+
+
+def companion(coeffs):
+    """Companion matrix of x^k - c_{k-1} x^{k-1} - ... - c_0, acting on columns."""
+    k = len(coeffs)
+    return [[coeffs[i] if j == k - 1 else int(i == j + 1) for j in range(k)] for i in range(k)]
+
+
+# Aff(F_q, omega) with omega primitive: q -> (p, coefficients of omega's
+# minimal polynomial for ``companion``)
+PRIMITIVE_FIELDS = {
+    27: (3, [2, 0, 1]),  # x^3 - x^2 - 2 over F_3
+    32: (2, [1, 0, 1, 0, 0]),  # x^5 + x^2 + 1 over F_2
+    49: (7, [2, 2]),  # x^2 - 2x - 2 over F_7
+    81: (3, [1, 2, 0, 0]),  # x^4 + x + 2 over F_3
+}
+
+
+def primitive_affine(order):
+    """Aff(F_q, omega), the doubly transitive quandle of order q."""
+    p, coeffs = PRIMITIVE_FIELDS[order]
+    group = q.FinAbGroup((p,) * len(coeffs))
+    return q.affine_quandle(group, companion(coeffs))
+
+
+def automorphism_order(alpha):
+    """The least k >= 1 with alpha^k = 1."""
+    identity = q.AbHom.identity(alpha.source)
+    power, order = alpha, 1
+    while power != identity:
+        power, order = power.compose(alpha), order + 1
+    return order
 
 
 def least_coset_reps(group, subgroup_elements):
@@ -152,3 +186,217 @@ def beta_a_table(q4_quandle, coeff, a):
     return [
         [e if x == y or x == 0 or y == 0 else a for y in range(n)] for x in range(n)
     ]
+
+
+# ------------------------------------------------------------------------
+# Naive reference implementations of the library's fast paths: they index
+# the tables afresh in their innermost loops, and the instance build walks
+# all n^3 triples. The library must return the same value, or raise the same
+# exception, on every input.
+
+
+def reference_normalized_cocycles(quandle, coeff, u=0):
+    """normalized_cocycles with the cocycle instances collected over all n^3
+    triples through the pair-keyed ``block_of`` lookup."""
+    q_ = quandle
+    n = q_.size
+    part = q.full_partition(q_, u, "fgh")
+    nblocks = len(part.blocks)
+    block_of = part.block_of
+    e = coeff.identity
+    values = [None] * nblocks
+    for i, block in enumerate(part.blocks):
+        if any(x == y or x == u or y == u for (x, y) in block):
+            values[i] = e
+
+    t = q_.table
+    instances = set()
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                instances.add(
+                    (
+                        block_of((t[x][y], t[x][z])),
+                        block_of((x, z)),
+                        block_of((x, t[y][z])),
+                        block_of((y, z)),
+                    )
+                )
+    instances = sorted(instances)
+
+    branch_order = sorted(
+        (i for i in range(nblocks) if values[i] is None),
+        key=lambda i: (len(part.blocks[i]), i),
+    )
+    mul, inv = coeff.mul, coeff.inv
+    results = []
+
+    def propagate(trail):
+        changed = True
+        while changed:
+            changed = False
+            for a, b, c, d in instances:
+                va, vb, vc, vd = values[a], values[b], values[c], values[d]
+                known = (
+                    (va is not None) + (vb is not None) + (vc is not None) + (vd is not None)
+                )
+                if known == 4:
+                    if mul(va, vb) != mul(vc, vd):
+                        return False
+                elif known == 3:
+                    if va is None:
+                        if a in (b, c, d):
+                            continue
+                        values[a] = mul(mul(vc, vd), inv(vb))
+                        trail.append(a)
+                    elif vb is None:
+                        if b in (a, c, d):
+                            continue
+                        values[b] = mul(inv(va), mul(vc, vd))
+                        trail.append(b)
+                    elif vc is None:
+                        if c in (a, b, d):
+                            continue
+                        values[c] = mul(mul(va, vb), inv(vd))
+                        trail.append(c)
+                    else:
+                        if d in (a, b, c):
+                            continue
+                        values[d] = mul(inv(vc), mul(va, vb))
+                        trail.append(d)
+                    changed = True
+        return True
+
+    def search():
+        target = next((i for i in branch_order if values[i] is None), None)
+        if target is None:
+            table = [[values[block_of((x, y))] for y in range(n)] for x in range(n)]
+            results.append(q.ConstantCocycle(q_, coeff, table))
+            return
+        for candidate in range(coeff.order):
+            trail = [target]
+            values[target] = candidate
+            if propagate(trail):
+                search()
+            for i in trail:
+                values[i] = None
+
+    if propagate([]):
+        search()
+    return results
+
+
+def reference_cocycle_witness(quandle, coeff, values):
+    n = quandle.size
+    for x in range(n):
+        if values[x][x] != coeff.identity:
+            return ("diagonal", (x,))
+    t = quandle.table
+    mul = coeff.mul
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                left = mul(values[t[x][y]][t[x][z]], values[x][z])
+                right = mul(values[x][t[y][z]], values[y][z])
+                if left != right:
+                    return ("cocycle", (x, y, z))
+    return None
+
+
+def reference_weak_cocycle_check(beta):
+    q_, v = beta.quandle, beta.values
+    n = q_.size
+    t = q_.table
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if (v[t[x][y]][t[x][z]] == v[x][t[y][z]]) != (v[x][z] == v[y][z]):
+                    return False
+    return True
+
+
+def reference_validate_table(table):
+    n = len(table)
+    if n == 0:
+        raise ValueError("empty table")
+    rows = []
+    for row in table:
+        row = tuple(int(v) for v in row)
+        if len(row) != n or any(not 0 <= v < n for v in row):
+            raise ValueError(f"table is not a square array over 0..{n - 1}")
+        rows.append(row)
+    t = tuple(rows)
+    for x in range(n):
+        positions = {}
+        for y in range(n):
+            v = t[x][y]
+            if v in positions:
+                raise NotLeftQuasigroup(f"row {x} repeats value {v}", (x, positions[v], y))
+            positions[v] = y
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if t[x][t[y][z]] != t[t[x][y]][t[x][z]]:
+                    raise NotLeftDistributive("x(yz) != (xy)(xz)", (x, y, z))
+    for x in range(n):
+        if t[x][x] != x:
+            raise NotIdempotent(f"{x} * {x} = {t[x][x]}", (x,))
+    return t
+
+
+def reference_dynamical_witness(quandle, fiber_size, values):
+    n = quandle.size
+    m = fiber_size
+    for x in range(n):
+        for y in range(n):
+            for s in range(m):
+                if sorted(values[x][y][s]) != list(range(m)):
+                    return ("bijection", (x, y, s))
+    for x in range(n):
+        for s in range(m):
+            if values[x][x][s][s] != s:
+                return ("quandle", (x, s))
+    t = quandle.table
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                for s in range(m):
+                    bxys = values[x][y][s]
+                    bxzs = values[x][z][s]
+                    for t_ in range(m):
+                        left_outer = values[t[x][y]][t[x][z]][bxys[t_]]
+                        right_outer = values[x][t[y][z]][s]
+                        byzt = values[y][z][t_]
+                        if any(
+                            left_outer[bxzs[w]] != right_outer[byzt[w]]
+                            for w in range(m)
+                        ):
+                            return ("cocycle", (x, y, z, s, t_))
+    return None
+
+
+def outcome(fn, *args):
+    """("value", result) or ("raise", exception type, exception args)."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # the comparison covers every exception alike
+        return ("raise", type(exc), exc.args)
+
+
+def corrupt(data, rows, alphabet):
+    """A copy of ``rows`` with one to three cells redrawn from ``alphabet``, or
+    with two entries of one row swapped; ``data`` is hypothesis's draw source."""
+    rows = [list(row) for row in rows]
+    if data.draw(st.booleans(), label="swap"):
+        x = data.draw(st.integers(0, len(rows) - 1), label="row")
+        i, j = data.draw(
+            st.lists(st.integers(0, len(rows[x]) - 1), min_size=2, max_size=2, unique=True),
+            label="positions",
+        )
+        rows[x][i], rows[x][j] = rows[x][j], rows[x][i]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="cells")):
+            x = data.draw(st.integers(0, len(rows) - 1), label="row")
+            y = data.draw(st.integers(0, len(rows[x]) - 1), label="column")
+            rows[x][y] = data.draw(st.sampled_from(alphabet), label="value")
+    return rows

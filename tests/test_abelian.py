@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,37 @@ def test_smith_normal_form_divisibility(rows):
         entries = [v for row in rows for v in row if v]
         if entries:
             assert nonzero[0] == math.gcd(*entries)
+
+
+def determinant(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * v * determinant([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, v in enumerate(m[0])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_smith_normal_form_determinantal_divisors(nrows, ncols, data):
+    """d_1 ... d_k is the gcd of the k x k minors, for every k."""
+    rows = data.draw(
+        st.lists(
+            st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    diag = smith_normal_form(rows)
+    for k in range(1, min(nrows, ncols) + 1):
+        minors = [
+            determinant([[rows[i][j] for j in cols] for i in rws])
+            for rws in combinations(range(nrows), k)
+            for cols in combinations(range(ncols), k)
+        ]
+        assert math.prod(diag[:k]) == math.gcd(*minors)
 
 
 @settings(max_examples=40, deadline=None)

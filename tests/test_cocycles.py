@@ -1,9 +1,10 @@
 import json
+import math
 import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import quandles as q
@@ -19,7 +20,18 @@ from quandles.cocycles import (
     parse_coeff_descriptor,
 )
 from quandles.errors import BudgetExceeded, InvalidCocycle, NotLatin
-from conftest import beta_a_table
+from conftest import (
+    PRIMITIVE_FIELDS,
+    automorphism_order,
+    beta_a_table,
+    corrupt,
+    endomorphism,
+    outcome,
+    primitive_affine,
+    reference_cocycle_witness,
+    reference_normalized_cocycles,
+    reference_weak_cocycle_check,
+)
 
 # a loop (quasigroup with identity) that is not a group
 NONASSOCIATIVE_LOOP = [
@@ -565,3 +577,83 @@ def test_h2c_refuses_connected_non_latin():
     assert not quandle.is_latin
     with pytest.raises(NotLatin):
         q.h2c(quandle, CoeffGroup.symmetric(2))
+
+
+def test_normalized_cocycles_match_reference(small_affine_corpus, small_coeffs):
+    """Instances from the cycle representatives of L_u lose nothing: same list,
+    same order, as the instances over all n^3 triples."""
+    for name, quandle in small_affine_corpus:
+        for cname, coeff in small_coeffs:
+            for u in (0, 1):
+                found = [beta.values for beta in normalized_cocycles(quandle, coeff, u)]
+                expected = [
+                    beta.values for beta in reference_normalized_cocycles(quandle, coeff, u)
+                ]
+                assert found == expected, (name, cname, u)
+
+
+# abelian groups of order <= 27 that carry connected affine quandles
+CONNECTED_AFFINE_MODULI = [
+    (3,), (5,), (7,), (9,), (11,), (13,), (15,), (21,), (25,), (27,),
+    (2, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4), (3, 3), (3, 9), (3, 3, 3), (5, 5),
+    (2, 2, 3), (2, 2, 5),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CONNECTED_AFFINE_MODULI), st.data())
+def test_normalized_cocycles_match_reference_on_random_affine(moduli, data):
+    group = FinAbGroup(moduli)
+    entries = st.lists(st.integers(0, 8), min_size=group.rank**2, max_size=group.rank**2)
+    for _ in range(50):
+        alpha = endomorphism(group, data.draw(entries))
+        if alpha.is_automorphism() and q.affine_is_connected(group, alpha):
+            break
+    else:
+        reject()
+    quandle = q.AffineQuandle(group, alpha)
+    coeff = data.draw(
+        st.sampled_from([CoeffGroup.abelian((2,)), CoeffGroup.abelian((3,)), CoeffGroup.symmetric(3)])
+    )
+    u = data.draw(st.integers(0, quandle.size - 1))
+    found = [beta.values for beta in normalized_cocycles(quandle, coeff, u)]
+    assert found == [beta.values for beta in reference_normalized_cocycles(quandle, coeff, u)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cocycle_verifiers_match_reference(small_affine_corpus, small_coeffs, data):
+    """On corrupted cocycles both verifiers give the reference's first violation."""
+    _, quandle = data.draw(st.sampled_from(small_affine_corpus))
+    _, coeff = data.draw(st.sampled_from(small_coeffs))
+    cocycles = normalized_cocycles(quandle, coeff, 0)
+    beta = data.draw(st.sampled_from(cocycles))
+    values = corrupt(data, beta.values, range(coeff.order))
+    assert outcome(cocycle_witness, quandle, coeff, values) == outcome(
+        reference_cocycle_witness, quandle, coeff, values
+    )
+    raw = ConstantCocycle(quandle, coeff, values, check=False)
+    assert outcome(q.weak_cocycle_check, raw) == outcome(reference_weak_cocycle_check, raw)
+
+
+@pytest.mark.parametrize("order", sorted(PRIMITIVE_FIELDS))
+def test_doubly_transitive_cohomology_is_trivial(order):
+    """Aff(F_q, omega), q != 4, is simply connected: one class for every fiber."""
+    quandle = primitive_affine(order)
+    # omega generates F_q^*, so Aff(F_q, omega) is doubly transitive
+    assert quandle.size == order and automorphism_order(quandle.alpha) == order - 1
+    for descriptor in ("Z2", "Z3", "Z 2 x Z 2", "Sym(2)", "Sym(3)"):
+        reps = q.h2c(quandle, parse_coeff_descriptor(descriptor))
+        assert len(reps) == 1 and reps[0].is_trivial(), (order, descriptor)
+
+
+def test_abelian_class_count_is_hom_count(affine_corpus):
+    """|H^2_c(X, A)| = |Hom(pi1 X, A)| = prod gcd(d_i, a_j) for abelian A."""
+    for name, quandle in affine_corpus:
+        if quandle.size > 27:
+            continue
+        invariants = q.pi1_affine(quandle)
+        for moduli in [(2,), (3,), (4,), (2, 2), (6,), (3, 3)]:
+            expected = math.prod(math.gcd(d, a) for d in invariants for a in moduli)
+            classes = q.h2c(quandle, CoeffGroup.abelian(moduli))
+            assert len(classes) == expected, (name, moduli)

@@ -5,7 +5,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import quandles as q
-from conftest import AFFINE_CORPUS_DEFS, endomorphism
+from conftest import AFFINE_CORPUS_DEFS, corrupt, endomorphism, outcome, reference_validate_table
 from quandles.core import _validate_table
 from quandles.errors import (
     NotAutomorphism,
@@ -343,3 +343,12 @@ def test_random_cyclic_affine_properties(m, data):
     quandle = q.affine_quandle(group, q.AbHom.scaling(group, n))
     assert quandle.is_latin
     assert quandle.is_connected()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_table_matches_reference(affine_corpus, data):
+    """On corrupted tables the validator raises the reference's first violation."""
+    _, quandle = data.draw(st.sampled_from(affine_corpus))
+    table = corrupt(data, quandle.table, range(quandle.size))
+    assert outcome(_validate_table, table) == outcome(reference_validate_table, table)

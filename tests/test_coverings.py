@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandles as q
+from conftest import corrupt, outcome, reference_dynamical_witness
 from quandles.cocycles import CoeffGroup, ConstantCocycle, normalized_cocycles
 from quandles.coverings import (
     Covering,
@@ -317,3 +320,20 @@ def test_extension_json_roundtrip(q4):
     assert loaded.projection == ext.projection
     loaded2 = q.extension_from_json(doc, base=q4)
     assert loaded2.constant == beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dynamical_witness_matches_reference(small_affine_corpus, data):
+    """On a lifted cocycle with one cell corrupted, the same first violation."""
+    _, quandle = data.draw(st.sampled_from(small_affine_corpus))
+    coeff = CoeffGroup.symmetric(data.draw(st.integers(2, 3)))
+    beta = data.draw(st.sampled_from(normalized_cocycles(quandle, coeff, 0)))
+    values = [[list(cell) for cell in row] for row in lift_constant(beta).values]
+    x = data.draw(st.integers(0, quandle.size - 1))
+    y = data.draw(st.integers(0, quandle.size - 1))
+    values[x][y] = corrupt(data, values[x][y], range(coeff.points))
+    m = coeff.points
+    assert outcome(dynamical_witness, quandle, m, values) == outcome(
+        reference_dynamical_witness, quandle, m, values
+    )

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import quandles as q
-from conftest import enumerate_subgroup, least_coset_reps
+from conftest import automorphism_order, companion, enumerate_subgroup, least_coset_reps
 from quandles.errors import BudgetExceeded, NotConnected
 from quandles.pi1 import (
     MAX_PI1_RANK,
@@ -14,12 +14,6 @@ from quandles.pi1 import (
     envelope_mul,
     pi1_presentation,
 )
-
-
-def companion(coeffs):
-    """Companion matrix of x^k - c_{k-1} x^{k-1} - ... - c_0, acting on columns."""
-    k = len(coeffs)
-    return [[coeffs[i] if j == k - 1 else int(i == j + 1) for j in range(k)] for i in range(k)]
 
 
 def test_order_four_quandle_numbers(q4):
@@ -50,11 +44,8 @@ def test_doubly_transitive_orders_32_and_81(p, coeffs):
     k = len(coeffs)
     group = q.FinAbGroup((p,) * k)
     alpha = q.AbHom(group, group, companion(coeffs))
-    identity = q.AbHom.identity(group)
-    power, order = alpha, 1
-    while power != identity:
-        power, order = power.compose(alpha), order + 1
-    assert order == p**k - 1  # alpha is multiplication by a primitive element of F_q
+    # alpha is multiplication by a primitive element of F_q
+    assert automorphism_order(alpha) == p**k - 1
     assert q.pi1_affine(q.affine_quandle(group, alpha)) == ()
 
 
