@@ -377,11 +377,13 @@ def _twist(beta, gamma):
 
 
 def cohomologous(beta1, beta2):
-    """A witness that beta1 ~ beta2, or None.
+    """A coboundary map gamma with beta2 = gamma(x*y) beta1(x, y) gamma(y)^-1,
+    as ``{"kind": "gamma", "gamma": ...}``, or None.
 
-    On latin quandles both cocycles are normalized at 0 and a single
-    conjugator sigma is searched; otherwise a coboundary map gamma is found
-    by propagation along the translation orbits.
+    gamma is determined on each connected component by its value at one
+    point: every guess is propagated along the left translations, since
+    gamma(x*y) = beta2(x, y) gamma(y) beta1(x, y)^-1. This works on any
+    quandle and is independent of the conjugation theorem ``h2c`` buckets by.
     """
     if beta1.quandle.table != beta2.quandle.table:
         raise ValueError("cocycles live on different quandles")
@@ -389,16 +391,8 @@ def cohomologous(beta1, beta2):
         raise ValueError("cocycles have different coefficient groups")
     q, g = beta1.quandle, beta1.coeff
     n = q.size
-    if q.is_latin:
-        d1 = normalize(beta1, 0).values
-        d2 = normalize(beta2, 0).values
-        for sigma in range(g.order):
-            if all(
-                g.conj(sigma, d1[x][y]) == d2[x][y] for x in range(n) for y in range(n)
-            ):
-                return {"kind": "sigma", "sigma": sigma}
-        return None
-    # general path: gamma is determined on each connected component by one value
+    t, mul, inv = q.table, g.table, g.inverses
+    v1, v2 = beta1.values, beta2.values
     components = []
     seen = set()
     for start in range(n):
@@ -417,10 +411,8 @@ def cohomologous(beta1, beta2):
             while queue and ok:
                 y = queue.pop()
                 for x in range(n):
-                    z = q.op(x, y)
-                    needed = g.mul(
-                        g.mul(beta2.values[x][y], trial[y]), g.inv(beta1.values[x][y])
-                    )
+                    z = t[x][y]
+                    needed = mul[mul[v2[x][y]][trial[y]]][inv[v1[x][y]]]
                     if z in trial:
                         if trial[z] != needed:
                             ok = False

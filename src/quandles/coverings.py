@@ -17,6 +17,7 @@ from .cocycles import (
     are_cohomologous,
     cocycle_from_json,
     cocycle_to_json,
+    cocycle_witness,
 )
 from .core import Quandle
 from .errors import (
@@ -318,23 +319,31 @@ class Extension:
         return Congruence.from_blocks(self.total, blocks)
 
 
-def extend(quandle, cocycle, fiber_size=None):
-    """Build the extension quandle; the cocycle may be constant or dynamical."""
-    constant = None
+def extend(quandle, cocycle):
+    """Build the extension quandle; the cocycle may be constant or dynamical.
+
+    The cocycle is checked once, against ``quandle``: a constant one by
+    ``cocycle_witness``, a dynamical one by ``dynamical_witness``. These
+    agree on constant cocycles, whose lifts into Sym(S) are bijections by
+    construction, fix the diagonal iff beta(x, x) = 1 and satisfy the
+    dynamical condition iff beta satisfies the constant one. A valid cocycle
+    makes the total a quandle with the fibers as a uniform congruence, so
+    neither is re-proved.
+    """
     if isinstance(cocycle, ConstantCocycle):
-        constant = cocycle
-        dyn = lift_constant(cocycle)
+        constant, dyn = cocycle, lift_constant(cocycle)
     elif isinstance(cocycle, DynamicalCocycle):
-        dyn = cocycle
+        constant, dyn = None, cocycle
     else:
         raise TypeError("cocycle must be a ConstantCocycle or DynamicalCocycle")
     if dyn.base_size != quandle.size:
         raise ValueError("cocycle base size does not match the quandle")
-    if fiber_size is not None and fiber_size != dyn.fiber_size:
-        raise ValueError("fiber size does not match the cocycle")
-    witness = dynamical_witness(quandle, dyn.fiber_size, dyn.values)
+    if constant is None:
+        witness = dynamical_witness(quandle, dyn.fiber_size, dyn.values)
+    else:
+        witness = cocycle_witness(quandle, constant.coeff, constant.values)
     if witness is not None:
-        raise InvalidCocycle(f"invalid dynamical cocycle: {witness}", witness)
+        raise InvalidCocycle(f"invalid cocycle: {witness}", witness)
     n = quandle.size
     m = dyn.fiber_size
     table = []
@@ -345,21 +354,14 @@ def extend(quandle, cocycle, fiber_size=None):
                 base = xy * m
                 row.extend(base + v for v in vxy[s])
             table.append(row)
-    total = Quandle(table)
-    projection = tuple(i // m for i in range(n * m))
-    ext = Extension(
+    return Extension(
         base=quandle,
         fiber_size=m,
         cocycle=dyn,
         constant=constant,
-        total=total,
-        projection=projection,
+        total=Quandle(table, _checked=True),
+        projection=tuple(i // m for i in range(n * m)),
     )
-    # the fibers must form a uniform congruence of the total quandle
-    cong = ext.fiber_congruence()
-    if not cong.is_uniform:
-        raise NotUniform("extension fibers are not uniform")
-    return ext
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,7 @@ def quotient(quandle, congruence):
             raise ValueError("congruence belongs to a different quandle")
         cong = congruence
     else:
-        cong = Congruence.from_blocks(quandle, congruence)
+        cong = Congruence.from_blocks(quandle, congruence, check=False)
     witness = cong._compatibility_witness()
     if witness is not None:
         raise NotCompatible(f"partition is not a congruence at {witness}")
@@ -494,9 +496,11 @@ def _as_covering(obj):
 def coverings_equivalent(first, second, size_cap=EQUIVALENCE_SIZE_CAP):
     """Equivalence of two coverings of one base: an isomorphism over the base.
 
-    Extension-form inputs with constant cocycles are decided through the
-    cohomology relation; otherwise a fiber-respecting isomorphism is searched
-    by backtracking (first witness in lexicographic image order).
+    Two extensions by constant cocycles over one coefficient group are
+    equivalent iff the cocycles are cohomologous, decided by the gamma
+    propagation of ``are_cohomologous``; any other pair by a backtracking
+    search for a fiber-respecting isomorphism (first witness in
+    lexicographic image order), capped at ``size_cap`` total points.
     """
     cov1, beta1 = _as_covering(first)
     cov2, beta2 = _as_covering(second)

@@ -375,6 +375,18 @@ def reference_dynamical_witness(quandle, fiber_size, values):
     return None
 
 
+def reference_latin_cohomologous(beta1, beta2):
+    """Cohomology on a latin quandle by normalization: beta1 ~ beta2 iff one
+    sigma conjugates the 0-normalized table of beta1 into that of beta2."""
+    g = beta1.coeff
+    d1 = q.normalize(beta1, 0).values
+    d2 = q.normalize(beta2, 0).values
+    return any(
+        all(g.conj(sigma, a) == b for r1, r2 in zip(d1, d2) for a, b in zip(r1, r2))
+        for sigma in range(g.order)
+    )
+
+
 def outcome(fn, *args):
     """("value", result) or ("raise", exception type, exception args)."""
     try:

@@ -8,6 +8,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import quandles as q
+import quandles.cocycles as cmod
 from quandles.abelian import FinAbGroup
 from quandles.cocycles import (
     CoeffGroup,
@@ -29,6 +30,7 @@ from conftest import (
     outcome,
     primitive_affine,
     reference_cocycle_witness,
+    reference_latin_cohomologous,
     reference_normalized_cocycles,
     reference_weak_cocycle_check,
 )
@@ -241,27 +243,50 @@ def test_cohomologous_abelian_distinct_values(q4):
             assert q.are_cohomologous(betas[a], betas[b]) == (a == b)
 
 
+def assert_cohomologous_matches_reference(b1, b2):
+    """The gamma witness agrees with the normalization reference and twists
+    b1 into b2."""
+    witness = cmod.cohomologous(b1, b2)
+    assert (witness is not None) == reference_latin_cohomologous(b1, b2)
+    if witness is not None:
+        assert witness["kind"] == "gamma"
+        twisted = cmod._twist(b1, list(witness["gamma"]))
+        assert tuple(tuple(r) for r in twisted) == b2.values
+
+
 def test_cohomologous_general_path_matches_latin(r3):
     s2 = CoeffGroup.symmetric(2)
-    tables = brute_force_cocycles(r3, s2)
-    cocycles = [ConstantCocycle(r3, s2, t) for t in tables]
-    import quandles.cocycles as cmod
-
+    cocycles = [ConstantCocycle(r3, s2, t) for t in brute_force_cocycles(r3, s2)]
     for b1 in cocycles:
         for b2 in cocycles:
-            latin_answer = q.are_cohomologous(b1, b2)
-            # force the general gamma-propagation path
-            saved = r3._latin
-            r3._latin = False
-            try:
-                general = cmod.cohomologous(b1, b2)
-            finally:
-                r3._latin = saved
-            assert (general is not None) == latin_answer
-            if general is not None:
-                gamma = general["gamma"]
-                twisted = cmod._twist(b1, list(gamma))
-                assert tuple(tuple(r) for r in twisted) == b2.values
+            assert_cohomologous_matches_reference(b1, b2)
+
+
+def test_cohomologous_matches_latin_reference_on_corpus(affine_corpus):
+    """h2c representatives against normalized cocycles and their twists
+    (|X| <= 9, Sym(2..4)): each cocycle lies in exactly one class."""
+    for name, quandle in affine_corpus:
+        n = quandle.size
+        if n > 9:
+            continue
+        for points in (2, 3, 4):
+            s = CoeffGroup.symmetric(points)
+            reps = q.h2c(quandle, s)
+            cocycles = []
+            for beta in normalized_cocycles(quandle, s, 0):
+                cocycles.append(beta)
+                for c in (1, 2):
+                    gamma = [(c * x + 1) % s.order for x in range(n)]
+                    cocycles.append(ConstantCocycle(quandle, s, cmod._twist(beta, gamma)))
+            for b1 in reps:
+                for b2 in reps:
+                    assert_cohomologous_matches_reference(b1, b2)
+                    assert q.are_cohomologous(b1, b2) == (b1 == b2), (name, points)
+            for beta in cocycles:
+                for rep in reps:
+                    assert_cohomologous_matches_reference(beta, rep)
+                    assert_cohomologous_matches_reference(rep, beta)
+                assert sum(q.are_cohomologous(beta, rep) for rep in reps) == 1, (name, points)
 
 
 @settings(max_examples=30, deadline=None)
@@ -270,8 +295,6 @@ def test_random_twists_are_cohomologous(q4, data):
     z2 = CoeffGroup.abelian((2,))
     beta = ConstantCocycle(q4, z2, beta_a_table(q4, z2, 1))
     gamma = data.draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
-    import quandles.cocycles as cmod
-
     twisted = ConstantCocycle(q4, z2, cmod._twist(beta, gamma))
     witness = cmod.cohomologous(beta, twisted)
     assert witness is not None

@@ -3,9 +3,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandles as q
-from conftest import corrupt, outcome, reference_dynamical_witness
-from quandles.cocycles import CoeffGroup, ConstantCocycle, normalized_cocycles
+import quandles.core as core
+import quandles.coverings as cov
+from conftest import (
+    beta_a_table,
+    build_affine,
+    corrupt,
+    outcome,
+    reference_dynamical_witness,
+    reference_validate_table,
+)
+from quandles.cocycles import CoeffGroup, ConstantCocycle, cocycle_witness, normalized_cocycles
 from quandles.coverings import (
+    Congruence,
     Covering,
     DynamicalCocycle,
     all_congruences,
@@ -26,7 +36,6 @@ from quandles.errors import (
     NotSurjective,
     NotUniform,
 )
-from conftest import beta_a_table
 
 
 def direct_product_with_projection(base, fiber):
@@ -84,6 +93,62 @@ def test_extend_needs_symmetric_coefficients(q4):
         extend(q4, ConstantCocycle(q4, z2, beta_a_table(q4, z2, 1)))
 
 
+def test_extend_checks_each_cocycle_once(q4, monkeypatch):
+    """A constant cocycle is checked by one cocycle_witness against the given
+    quandle, a dynamical one by one dynamical_witness; the total is never
+    re-validated and the fibers are never re-checked."""
+    s2 = CoeffGroup.symmetric(2)
+    beta = ConstantCocycle(q4, s2, beta_a_table(q4, s2, 1))
+    dyn = lift_constant(beta)
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append((fn.__name__, args[0])) or fn(*args)
+
+    def forbidden(*args):
+        raise AssertionError("re-proof of what holds by construction")
+
+    monkeypatch.setattr(cov, "cocycle_witness", counted(cocycle_witness))
+    monkeypatch.setattr(cov, "dynamical_witness", counted(dynamical_witness))
+    monkeypatch.setattr(core, "_validate_table", forbidden)
+    monkeypatch.setattr(cov.Extension, "fiber_congruence", forbidden)
+    constant_total = extend(q4, beta).total
+    assert calls == [("cocycle_witness", q4)]
+    calls.clear()
+    assert extend(q4, dyn).total == constant_total
+    assert calls == [("dynamical_witness", q4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extend_checks_constant_cocycles_like_their_lift(small_affine_corpus, data):
+    """extend refuses a corrupted constant cocycle exactly when its lift into
+    Sym(S) fails the dynamical cocycle check."""
+    _, quandle = data.draw(st.sampled_from(small_affine_corpus))
+    coeff = CoeffGroup.symmetric(data.draw(st.integers(2, 3)))
+    beta = data.draw(st.sampled_from(normalized_cocycles(quandle, coeff, 0)))
+    values = corrupt(data, beta.values, range(coeff.order))
+    beta = ConstantCocycle(quandle, coeff, values, check=False)
+    if dynamical_witness(quandle, coeff.points, lift_constant(beta).values) is None:
+        ext = extend(quandle, beta)
+        assert reference_validate_table(ext.total.table) == ext.total.table
+    else:
+        with pytest.raises(InvalidCocycle):
+            extend(quandle, beta)
+
+
+def test_extend_checks_against_the_given_quandle():
+    """A class of Q(Z_3^2, -1) is no cocycle on Aff(F_9, omega) of equal order."""
+    source, target = build_affine("z3sq_neg"), build_affine("z3sq_8cycle")
+    s3 = CoeffGroup.symmetric(3)
+    beta = next(rep for rep in q.h2c(source, s3) if not rep.is_trivial())
+    assert cocycle_witness(target, s3, beta.values) == ("cocycle", (0, 1, 3))
+    assert dynamical_witness(target, 3, lift_constant(beta).values) is not None
+    with pytest.raises(InvalidCocycle) as info:
+        extend(target, beta)
+    assert info.value.witness == ("cocycle", (0, 1, 3))
+
+
 def test_extend_rejects_invalid():
     r3 = q.dihedral_quandle(3)
     values = [
@@ -125,21 +190,39 @@ def test_quotient_requires_uniform():
         quotient(proj, [[0, 1], [2]])
 
 
-def test_quotient_requires_compatible(r3):
+def test_quotient_requires_compatible(r3, monkeypatch):
     ext = direct_product_with_projection(r3, 2)
+    blocks = [[0, 1, 2], [3, 4, 5]]
+    calls = []
+    check = Congruence._compatibility_witness
+    monkeypatch.setattr(
+        Congruence, "_compatibility_witness", lambda self: calls.append(1) or check(self)
+    )
     with pytest.raises(NotCompatible):
-        quotient(ext.total, [[0, 1, 2], [3, 4, 5]])
+        quotient(ext.total, blocks)
+    assert len(calls) == 1  # a block list is checked once
+    with pytest.raises(NotCompatible):
+        quotient(ext.total, Congruence.from_blocks(ext.total, blocks, check=False))
+
+
+def checked_fibers(ext):
+    """The fiber congruence of an extension, after the full axiom check of
+    its total: both hold by construction once the cocycle is valid."""
+    assert reference_validate_table(ext.total.table) == ext.total.table
+    fibers = ext.fiber_congruence()
+    assert fibers.is_uniform and len(fibers) == ext.base.size
+    return fibers
 
 
 def test_extend_quotient_round_trip(small_affine_corpus):
-    s2 = CoeffGroup.symmetric(2)
     for name, quandle in small_affine_corpus:
-        if quandle.size > 5:
-            continue
-        for beta in normalized_cocycles(quandle, s2, 0):
-            ext = extend(quandle, beta)
-            result = quotient(ext.total, ext.fiber_congruence())
-            assert result.quotient.table == quandle.table, name
+        for points in (2, 3):
+            s = CoeffGroup.symmetric(points)
+            for beta in [q.trivial_cocycle(quandle, s), *normalized_cocycles(quandle, s, 0)]:
+                ext = extend(quandle, beta)
+                result = quotient(ext.total, checked_fibers(ext))
+                assert result.quotient.table == quandle.table, name
+                checked_fibers(result.extension)
 
 
 def test_ker_left_section(r3):
@@ -228,6 +311,7 @@ def test_non_constant_extension_is_not_covering(r3):
     blocks = [[x * n + s for s in range(n)] for x in range(n)]
     result = quotient(square, blocks)
     assert not result.cocycle.is_constant()
+    checked_fibers(result.extension)
 
 
 def test_coverings_equivalent_self(r3):
