@@ -253,12 +253,18 @@ class AbHom:
         return subgroup_generated(self.target, zip(*self.matrix)).order == self.target.order
 
     def inverse(self):
+        """The inverse automorphism, read off the graph {(alpha(x), x)} as a
+        lattice in G x G: alpha is onto, so the first k pivots are 1 and the
+        least element of (e_i, 0) + graph is (0, -alpha^-1(e_i))."""
         if not self.is_automorphism():
             raise ValueError("only automorphisms can be inverted")
-        preimage = {self(x): x for x in self.source.elements()}
-        cols = [preimage[e] for e in self.source.basis()]
-        rows = [[cols[j][i] for j in range(self.source.rank)] for i in range(self.source.rank)]
-        return AbHom(self.source, self.source, rows)
+        g, k = self.source, self.source.rank
+        basis = g.basis()
+        graph = subgroup_generated(
+            FinAbGroup(g.moduli * 2), [col + e for col, e in zip(zip(*self.matrix), basis)]
+        )
+        cols = [g.neg(graph.coset_rep(e + g.zero)[k:]) for e in basis]
+        return AbHom(g, g, [[cols[j][i] for j in range(k)] for i in range(k)])
 
     def pow(self, n):
         """n-fold composition; negative n only for automorphisms."""

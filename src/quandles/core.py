@@ -88,10 +88,26 @@ class Quandle:
             self._left_section = tuple(Perm(row) for row in self.table)
         return self._left_section
 
+    def _division_rows(self):
+        r"""The caches behind left_divide and right_divide: rows[x][y] = x \ y
+        and, on a latin quandle, cols[y][x] = x / y (None otherwise)."""
+        if self._left_inv is None:
+            self._left_inv = tuple(p.inverse().images for p in self.left_section)
+        if self._col_inv is None and self.is_latin:
+            n = self.size
+            cols = []
+            for y_ in range(n):
+                inv = [0] * n
+                for z in range(n):
+                    inv[self.table[z][y_]] = z
+                cols.append(tuple(inv))
+            self._col_inv = tuple(cols)
+        return self._left_inv, self._col_inv
+
     def left_divide(self, x, y):
         r"""x \ y, the unique z with x*z = y."""
         if self._left_inv is None:
-            self._left_inv = tuple(p.inverse().images for p in self.left_section)
+            self._division_rows()
         return self._left_inv[x][y]
 
     @property
@@ -109,14 +125,7 @@ class Quandle:
         if not self.is_latin:
             raise NotLatin("right division needs a latin quandle")
         if self._col_inv is None:
-            n = self.size
-            cols = []
-            for y_ in range(n):
-                inv = [0] * n
-                for z in range(n):
-                    inv[self.table[z][y_]] = z
-                cols.append(tuple(inv))
-            self._col_inv = tuple(cols)
+            self._division_rows()
         return self._col_inv[y][x]
 
     def lmlt(self, cap=DEFAULT_CLOSURE_CAP):

@@ -11,6 +11,13 @@ the outgoing under-arc color is over * incoming, at a negative crossing it
 is over \\ incoming. The invariant multiplies beta(incoming under color,
 over color)^sign over the under-passages in traversal order and records the
 conjugacy class of the product, one class per non-monochromatic coloring.
+
+Colorings are found by propagation: a color on two arcs of a crossing forces
+the third (by the table, by left division, or on a latin quandle by right
+division), and the search branches only on arcs nothing has forced, least
+arc first, so the list comes out in lexicographic order. The search counts
+one node per color tried at a branch and raises BudgetExceeded past
+``MAX_COLORING_NODES``.
 """
 
 from __future__ import annotations
@@ -18,9 +25,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InconsistentSigns, InvalidCocycle, MalformedCode
+from .errors import BudgetExceeded, InconsistentSigns, InvalidCocycle, MalformedCode
 
 _TOKEN_RE = re.compile(r"^([OU])(\d+)([+-])$")
+
+MAX_COLORING_NODES = 10**6
 
 GAUSS_CODES = {
     "unknot": "unknot",
@@ -121,52 +130,94 @@ def parse_gauss(code):
     return KnotDiagram(crossings=crossings, arc_count=c, passages=tuple(passages))
 
 
-def _expected_out(quandle, crossing, over, incoming, mirror_convention):
-    positive = crossing.sign > 0
-    if mirror_convention:
-        positive = not positive
-    if positive:
-        return quandle.op(over, incoming)
-    return quandle.left_divide(over, incoming)
-
-
 def colorings(diagram, quandle, *, mirror_convention=False):
-    """All consistent arc colorings (monochromatic ones included)."""
-    n = quandle.size
-    a = diagram.arc_count
-    if not diagram.crossings:
-        return [(c,) * a for c in range(n)]
-    by_arc = [[] for _ in range(a)]
+    """All consistent arc colorings (monochromatic ones included), in
+    lexicographic order of the color tuples.
+
+    Each crossing is the relation top = mid * bot: (out, over, in) at a
+    positive crossing and (in, over, out) at a negative one, or the other
+    way round under ``mirror_convention``. Assigning an arc visits the
+    relations through it: known mid and bot force top, known mid and top
+    force bot by left division, and on a latin quandle known top and bot
+    force mid by right division. A relation is checked whenever its last
+    arc gets a color, so every returned coloring satisfies every crossing.
+    The search branches on the least uncolored arc, colors ascending, which
+    keeps the output in the order of ``itertools.product``. Each color tried
+    at a branch is one node; more than ``MAX_COLORING_NODES`` raises
+    BudgetExceeded.
+    """
+    table = quandle.table
+    left, right = quandle._division_rows()
+    n, a = quandle.size, diagram.arc_count
+    watch = [[] for _ in range(a)]
     for cr in diagram.crossings:
-        trigger = max(cr.over_arc, cr.in_arc, cr.out_arc)
-        by_arc[trigger].append(cr)
+        if (cr.sign > 0) != mirror_convention:
+            relation = (cr.out_arc, cr.over_arc, cr.in_arc)
+        else:
+            relation = (cr.in_arc, cr.over_arc, cr.out_arc)
+        for arc in set(relation):
+            watch[arc].append(relation)
+    colors = [-1] * a
+    trail = []
+
+    def assign(arc, color):
+        """Color ``arc`` and everything it forces; False on a conflict."""
+        colors[arc] = color
+        trail.append(arc)
+        stack = [arc]
+        while stack:
+            for top, mid, bot in watch[stack.pop()]:
+                t, m, b = colors[top], colors[mid], colors[bot]
+                if m >= 0 and b >= 0:
+                    forced, value = top, table[m][b]
+                    if t == value:
+                        continue
+                    if t >= 0:
+                        return False
+                elif m >= 0 and t >= 0:
+                    forced, value = bot, left[m][t]
+                elif right is not None and t >= 0 and b >= 0:
+                    forced, value = mid, right[b][t]
+                else:
+                    continue
+                colors[forced] = value
+                trail.append(forced)
+                stack.append(forced)
+        return True
+
     out = []
-    colors = [0] * a
-
-    def search(arc):
-        if arc == a:
+    branches = []  # [arc, next color, trail length before the arc], innermost last
+    nodes = 0
+    arc = 0
+    while True:
+        while arc < a and colors[arc] >= 0:
+            arc += 1
+        if arc < a:
+            branches.append([arc, 0, len(trail)])
+        else:
             out.append(tuple(colors))
-            return
-        for c in range(n):
-            colors[arc] = c
-            if all(
-                _expected_out(quandle, cr, colors[cr.over_arc], colors[cr.in_arc], mirror_convention)
-                == colors[cr.out_arc]
-                for cr in by_arc[arc]
-            ):
-                search(arc + 1)
-
-    search(0)
-    return out
+        while branches:
+            branch = branches[-1]
+            arc, color, mark = branch
+            while len(trail) > mark:
+                colors[trail.pop()] = -1
+            if color == n:
+                branches.pop()
+                continue
+            branch[1] = color + 1
+            nodes += 1
+            if nodes > MAX_COLORING_NODES:
+                raise BudgetExceeded(f"coloring search exceeded {MAX_COLORING_NODES} nodes")
+            if assign(arc, color):
+                break
+        else:
+            return out
 
 
 def col_count(diagram, quandle, *, mirror_convention=False):
-    """The number of colorings that use more than one quandle element."""
-    return sum(
-        1
-        for coloring in colorings(diagram, quandle, mirror_convention=mirror_convention)
-        if len(set(coloring)) > 1
-    )
+    """The number of colorings that use more than one quandle element: every
+    constant coloring is valid, because x * x = x."""
+    return len(colorings(diagram, quandle, mirror_convention=mirror_convention)) - quandle.size
 
 
 def cocycle_invariant(diagram, quandle, beta, *, start=0, mirror_convention=False):

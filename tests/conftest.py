@@ -1,6 +1,7 @@
 """Shared corpus of desk-scale quandles and coefficient groups."""
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
@@ -107,6 +108,14 @@ def automorphism_order(alpha):
     while power != identity:
         power, order = power.compose(alpha), order + 1
     return order
+
+
+def reference_inverse(alpha):
+    """The inverse automorphism from a preimage dict over the whole group."""
+    group = alpha.source
+    preimage = {alpha(x): x for x in group.elements()}
+    cols = [preimage[e] for e in group.basis()]
+    return q.AbHom(group, group, [[col[i] for col in cols] for i in range(group.rank)])
 
 
 def least_coset_reps(group, subgroup_elements):
@@ -412,3 +421,45 @@ def corrupt(data, rows, alphabet):
             y = data.draw(st.integers(0, len(rows[x]) - 1), label="column")
             rows[x][y] = data.draw(st.sampled_from(alphabet), label="value")
     return rows
+
+
+def reference_colorings(diagram, quandle, mirror_convention=False):
+    """Every arc assignment in ``itertools.product`` order, kept when it meets
+    each crossing's raw relation: out = over * in at a positive crossing,
+    over * out = in at a negative one (swapped under ``mirror_convention``)."""
+    out = []
+    for colors in product(range(quandle.size), repeat=diagram.arc_count):
+        ok = True
+        for cr in diagram.crossings:
+            over, inc, outgoing = colors[cr.over_arc], colors[cr.in_arc], colors[cr.out_arc]
+            if (cr.sign > 0) != mirror_convention:
+                ok = quandle.op(over, inc) == outgoing
+            else:
+                ok = quandle.op(over, outgoing) == inc
+            if not ok:
+                break
+        if ok:
+            out.append(colors)
+    return out
+
+
+def braid_closure_gauss(word, strands):
+    """Signed Gauss code of the closure of a braid word (letter i > 0 is
+    sigma_i, -i its inverse; the j-th letter is crossing j + 1), followed
+    from position 1, or None when that component misses a crossing. At
+    sigma_i the strand arriving from position i + 1 passes over."""
+    tokens = []
+    pos = 1
+    for _ in range(strands):
+        for j, g in enumerate(word):
+            i = abs(g)
+            if pos in (i, i + 1):
+                from_right = pos == i + 1
+                over = from_right == (g > 0)
+                tokens.append(f"{'O' if over else 'U'}{j + 1}{'+' if g > 0 else '-'}")
+                pos = i if from_right else i + 1
+        if pos == 1:
+            break
+    if len(tokens) != 2 * len(word):
+        return None
+    return " ".join(tokens)

@@ -1,8 +1,9 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from quandles.abelian import (
@@ -14,7 +15,7 @@ from quandles.abelian import (
     tensor_square,
     twisted_tensor_relators,
 )
-from conftest import endomorphism, enumerate_subgroup, least_coset_reps
+from conftest import endomorphism, enumerate_subgroup, least_coset_reps, reference_inverse
 
 
 def quotient_order_multiset(group, sub):
@@ -201,6 +202,30 @@ def test_is_automorphism_matches_bijectivity(moduli, data):
     h = endomorphism(group, data.draw(entries))
     images = {h(x) for x in group.elements()}
     assert h.is_automorphism() == (len(images) == group.order)
+
+
+@given(small_moduli, st.data())
+def test_inverse_matches_reference(moduli, data):
+    group = FinAbGroup(tuple(moduli))
+    entries = st.lists(st.integers(0, 7), min_size=group.rank**2, max_size=group.rank**2)
+    for _ in range(20):
+        alpha = endomorphism(group, data.draw(entries))
+        if alpha.is_automorphism():
+            break
+    else:
+        reject()
+    assert alpha.inverse() == reference_inverse(alpha)
+    assert alpha.pow(-2) == reference_inverse(alpha).pow(2)
+
+
+def test_inverse_needs_no_element_list():
+    # the preimage dict over all 1009^2 elements took about 5 s
+    g = FinAbGroup((1009, 1009))
+    alpha = AbHom(g, g, [[2, 1], [1, 1]])
+    start = time.perf_counter()
+    inverse = alpha.inverse()
+    assert time.perf_counter() - start < 0.5
+    assert inverse.compose(alpha) == alpha.compose(inverse) == AbHom.identity(g)
 
 
 def test_quotient_invariants_examples():

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import quandles as q
+from quandles import knots
 from quandles.cli import main
 from quandles.cocycles import CoeffGroup, ConstantCocycle, cocycle_to_json
 from quandles.knots import GAUSS_CODES
@@ -241,6 +242,20 @@ def test_knot_unknot(capsys, tmp_path, table_files, r3):
     )
     assert code == 0
     assert "col_count: 0" in out
+
+
+def test_knot_budget(capsys, monkeypatch, tmp_path, table_files, r3):
+    beta = q.trivial_cocycle(r3, CoeffGroup.symmetric(2))
+    cocycle_path = tmp_path / "trivial.json"
+    cocycle_path.write_text(json.dumps(cocycle_to_json(beta)))
+    argv = ["knot", "invariant", "--quandle", table_files["r3"], "--coeff", "Sym2",
+            "--cocycle", str(cocycle_path), "--gauss", GAUSS_CODES["trefoil_right"]]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(knots, "MAX_COLORING_NODES", 5)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "nodes" in err
 
 
 def test_orbits_command(capsys, table_files):

@@ -1,10 +1,13 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import quandles as q
+from quandles import knots
 from quandles.cocycles import CoeffGroup, ConstantCocycle, normalized_cocycles
-from quandles.errors import InconsistentSigns, InvalidCocycle, MalformedCode
+from quandles.errors import BudgetExceeded, InconsistentSigns, InvalidCocycle, MalformedCode
 from quandles.knots import (
     GAUSS_CODES,
     cocycle_invariant,
@@ -13,29 +16,30 @@ from quandles.knots import (
     parse_gauss,
     unknot,
 )
-from conftest import beta_a_table
+from quandles.perms import Perm
+from conftest import beta_a_table, braid_closure_gauss, build_affine, reference_colorings
 
 
-def brute_force_colorings(diagram, quandle):
-    """Independent oracle: test every arc assignment against the raw relations."""
-    n = quandle.size
-    a = diagram.arc_count
-    if not diagram.crossings:
-        return [(c,) * a for c in range(n)]
-    out = []
-    for colors in product(range(n), repeat=a):
-        ok = True
-        for cr in diagram.crossings:
-            over, inc, outgoing = colors[cr.over_arc], colors[cr.in_arc], colors[cr.out_arc]
-            if cr.sign > 0:
-                ok = quandle.op(over, inc) == outgoing
-            else:
-                ok = quandle.op(over, outgoing) == inc
-            if not ok:
-                break
-        if ok:
-            out.append(colors)
-    return out
+def transposition_quandle():
+    """Conjugation on the six transpositions of Sym(4): connected, not latin,
+    not affine."""
+    return q.conjugation_quandle(
+        [Perm.from_cycles(4, [(a, b)]) for a in range(4) for b in range(a + 1, 4)]
+    )
+
+
+# latin and non-latin, connected and not, affine and not
+COLORING_QUANDLES = {
+    "R3": q.dihedral_quandle(3),
+    "R4": q.dihedral_quandle(4),
+    "R5": q.dihedral_quandle(5),
+    "R6": q.dihedral_quandle(6),
+    "q4": build_affine("q4"),
+    "z5_l2": build_affine("z5_l2"),
+    "trivial3": q.projection_quandle(3),
+    "trivial1": q.trivial_quandle(),
+    "transpositions": transposition_quandle(),
+}
 
 
 def test_parse_trefoil():
@@ -71,18 +75,62 @@ def test_trefoil_colorings_by_dihedral(r3):
     found = colorings(diagram, r3)
     assert len(found) == 9
     assert col_count(diagram, r3) == 6
-    assert sorted(found) == sorted(brute_force_colorings(diagram, r3))
+    assert found == reference_colorings(diagram, r3)
 
 
-def test_colorings_match_brute_force(q4, r3):
-    z5 = q.FinAbGroup((5,))
-    quandles_under_test = [r3, q4, q.affine_quandle(z5, q.AbHom.scaling(z5, 2))]
-    for name in ("trefoil_right", "trefoil_left", "figure_eight"):
-        diagram = parse_gauss(GAUSS_CODES[name])
-        for quandle in quandles_under_test:
-            assert sorted(colorings(diagram, quandle)) == sorted(
-                brute_force_colorings(diagram, quandle)
-            ), (name, quandle.size)
+@pytest.mark.parametrize("mirror_convention", [False, True])
+def test_colorings_match_brute_force(mirror_convention):
+    # the same list in the same (lexicographic) order as the brute force
+    for qname, quandle in COLORING_QUANDLES.items():
+        for name, code in GAUSS_CODES.items():
+            diagram = parse_gauss(code)
+            assert colorings(diagram, quandle, mirror_convention=mirror_convention) == (
+                reference_colorings(diagram, quandle, mirror_convention)
+            ), (qname, name)
+
+
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda strands: st.tuples(
+            st.just(strands),
+            st.lists(
+                st.sampled_from([g for i in range(1, strands) for g in (i, -i)]),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    ),
+    st.sampled_from(list(COLORING_QUANDLES.values())),
+    st.booleans(),
+)
+def test_braid_closure_colorings_match_reference(braid, quandle, mirror_convention):
+    strands, word = braid
+    code = braid_closure_gauss(word, strands)
+    assume(code is not None and quandle.size ** len(word) <= 10**4)
+    diagram = parse_gauss(code)
+    assert colorings(diagram, quandle, mirror_convention=mirror_convention) == (
+        reference_colorings(diagram, quandle, mirror_convention)
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_fox_count_on_torus_knots(p):
+    # Fox: R_p colors T(2, c) in p * p^[p | c] ways; T(2, 21) by R_13 has
+    # 13^21 arc assignments, so only propagation reaches it
+    rp = q.dihedral_quandle(p)
+    for c in range(1, 22, 2):
+        diagram = parse_gauss(braid_closure_gauss((1,) * c, 2))
+        expected = p * (p if c % p == 0 else 1)
+        assert col_count(diagram, rp) == expected - p, c
+        assert col_count(diagram, rp, mirror_convention=True) == expected - p, c
+
+
+def test_coloring_budget(monkeypatch, r3):
+    diagram = parse_gauss(GAUSS_CODES["trefoil_right"])
+    assert len(colorings(diagram, r3)) == 9
+    monkeypatch.setattr(knots, "MAX_COLORING_NODES", 5)
+    with pytest.raises(BudgetExceeded):
+        colorings(diagram, r3)
 
 
 def test_unknot_has_no_multicolor(r3):
@@ -136,9 +184,8 @@ def test_simply_connected_base_gives_trivial_invariant(r3):
 
 def test_counts_follow_from_the_invariant(q4, r3):
     # the CLI reads both coloring counts off the invariant's length
-    r5 = q.dihedral_quandle(5)
     s2 = CoeffGroup.symmetric(2)
-    for quandle in (r3, q4, r5):
+    for quandle in (r3, q4, q.dihedral_quandle(5), q.dihedral_quandle(4), q.projection_quandle(3)):
         beta = q.trivial_cocycle(quandle, s2)
         for name, code in GAUSS_CODES.items():
             diagram = parse_gauss(code)
