@@ -33,7 +33,6 @@ from .cocycles import (
     h2c,
     h2c_is_trivial,
     induced_g_action,
-    is_constant_cocycle,
     normalize,
     normalized_cocycles,
     orbit_of_pair,
@@ -71,7 +70,6 @@ from .coverings import (
     extension_from_json,
     extension_to_json,
     is_covering,
-    is_dynamical_cocycle,
     ker_left_section,
     lift_constant,
     principal_congruence,
@@ -87,7 +85,7 @@ from .knots import (
     parse_gauss,
     unknot,
 )
-from .perms import Perm, PermGroup, closure, compose, inverse, orbit, pair_perm
+from .perms import Perm, PermGroup, closure, compose, inverse, orbit
 from .pi1 import (
     EnvelopeElement,
     Pi1Presentation,

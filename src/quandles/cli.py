@@ -11,6 +11,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,10 +25,9 @@ from .cocycles import (
     parse_coeff_descriptor,
 )
 from .core import _require_automorphism, affine_is_connected, load_quandle_file
-from .errors import AxiomError, BudgetExceeded, CapExceeded, QuandleError
+from .errors import AxiomError, BudgetExceeded, QuandleError
 from .knots import cocycle_invariant, parse_gauss
 from .coverings import is_covering
-from .perms import DEFAULT_CLOSURE_CAP
 from .pi1 import pi1_presentation
 
 EXIT_OK = 0
@@ -57,7 +57,7 @@ def cmd_check(args):
         print(f"not a quandle: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     semi = q.semiregular_length()
-    lmlt_order = q.lmlt(args.closure_cap).order()
+    lmlt_order = q.lmlt().order()
     payload = {
         "size": q.size,
         "quandle": True,
@@ -203,7 +203,6 @@ def build_parser():
 
     p = sub.add_parser("check", help="validate a table file and report structure flags")
     p.add_argument("table")
-    p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("h2c", help="second constant cohomology classes of a latin table")
@@ -244,15 +243,19 @@ def build_parser():
     return parser
 
 
+# built on the first call, not at import; parsing leaves the parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (CapExceeded, BudgetExceeded) as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except QuandleError as exc:

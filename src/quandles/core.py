@@ -21,7 +21,7 @@ from .errors import (
     NotLeftQuasigroup,
     SubgroupNotFixed,
 )
-from .perms import DEFAULT_CLOSURE_CAP, Perm, PermGroup, orbit, permutation_table
+from .perms import Perm, PermGroup, orbit, permutation_table
 
 
 def _validate_table(table):
@@ -65,7 +65,7 @@ def _validate_table(table):
 class Quandle:
     """A finite quandle on points 0..n-1, with its full n x n table."""
 
-    __slots__ = ("table", "_left_section", "_left_inv", "_latin", "_col_inv")
+    __slots__ = ("table", "_left_section", "_left_inv", "_latin", "_col_inv", "_lmlt")
 
     def __init__(self, table, *, _checked=False):
         self.table = tuple(tuple(row) for row in table) if _checked else _validate_table(table)
@@ -73,6 +73,7 @@ class Quandle:
         self._left_inv = None
         self._latin = None
         self._col_inv = None
+        self._lmlt = None
 
     @property
     def size(self):
@@ -128,20 +129,52 @@ class Quandle:
             self._division_rows()
         return self._col_inv[y][x]
 
-    def lmlt(self, cap=DEFAULT_CLOSURE_CAP):
-        """The left multiplication group, generated by the left translations."""
-        group = PermGroup(self.left_section, degree=self.size)
-        group.elements(cap)
-        return group
+    def _generating_points(self):
+        """A quandle generating set, greedily: the least point outside the
+        subquandle generated so far. Closing under the operation is enough,
+        since each L_x is injective on a closed finite subset, hence bijective."""
+        t = self.table
+        inside = [False] * self.size
+        members, points = [], []
+        for x in range(self.size):
+            if inside[x]:
+                continue
+            points.append(x)
+            inside[x] = True
+            members.append(x)
+            k = len(members) - 1
+            # members[:k] is closed; each pass closes members[:k + 1]
+            while k < len(members):
+                a = members[k]
+                ta = t[a]
+                for b in members[: k + 1]:
+                    for v in (ta[b], t[b][a]):
+                        if not inside[v]:
+                            inside[v] = True
+                            members.append(v)
+                k += 1
+        return points
+
+    def lmlt(self):
+        """The left multiplication group, with its stabilizer chain built.
+
+        It is generated by the translations of a quandle generating set,
+        which gives the group of all n rows because L_{x*y} = L_x L_y L_x^-1.
+        """
+        if self._lmlt is None:
+            rows = self.left_section
+            group = PermGroup((rows[x] for x in self._generating_points()), degree=self.size)
+            group.chain()
+            self._lmlt = group
+        return self._lmlt
 
     def is_connected(self):
         """True iff the left multiplication group acts transitively."""
         return len(orbit(self.left_section, 0)) == self.size
 
     def is_doubly_transitive(self):
-        if self.size < 2:
-            return False
-        return PermGroup(self.left_section, degree=self.size).is_doubly_transitive()
+        """True iff LMlt acts transitively on ordered pairs of distinct points."""
+        return self.size >= 2 and self.lmlt().is_doubly_transitive()
 
     def semiregular_length(self):
         """Common length of all nontrivial translation cycles; None if mixed.
@@ -157,9 +190,6 @@ class Quandle:
         if len(lengths) == 1:
             return lengths.pop()
         return None
-
-    def is_semiregular(self):
-        return self.semiregular_length() is not None
 
     def restrict(self, subset):
         """The subquandle on ``subset``; raises ValueError if not closed."""

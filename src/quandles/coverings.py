@@ -269,10 +269,6 @@ def dynamical_witness(quandle, fiber_size, values):
     return None
 
 
-def is_dynamical_cocycle(quandle, fiber_size, values):
-    return dynamical_witness(quandle, fiber_size, values) is None
-
-
 def lift_constant(beta):
     """View a constant cocycle into Sym(S) as a dynamical cocycle."""
     coeff = beta.coeff

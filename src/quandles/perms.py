@@ -1,8 +1,10 @@
 """Permutations of {0,...,n-1} and the groups they generate.
 
-Degrees stay small here (a few hundred points at most), so generated groups
-are enumerated by plain breadth-first closure over a hash set instead of
-stabilizer chains.
+A group's order, membership and double transitivity are read off a
+stabilizer chain built by deterministic Schreier-Sims (Sims 1970; Seress,
+*Permutation Group Algorithms*, 2003), so no element is listed. The full
+element list, by breadth-first closure, is built only where a caller needs
+every element, such as a coset quandle's Cayley table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,18 @@ from .errors import CapExceeded
 DEFAULT_CLOSURE_CAP = 10**6
 
 _PERM_RE = re.compile(r"^\s*(\d+)\s*:\s*\[([\d\s,]*)\]\s*$")
+
+
+def _after(a, b):
+    """The image tuple of a∘b (``b`` applied first)."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inverse(a):
+    inv = [0] * len(a)
+    for i, img in enumerate(a):
+        inv[img] = i
+    return tuple(inv)
 
 
 class Perm:
@@ -53,13 +67,10 @@ class Perm:
         """Composition ``self * other``: apply ``other`` first, then ``self``."""
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Perm(self.images[i] for i in other.images)
+        return Perm(_after(self.images, other.images))
 
     def inverse(self):
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Perm(inv)
+        return Perm(_inverse(self.images))
 
     def is_identity(self):
         return all(i == img for i, img in enumerate(self.images))
@@ -189,21 +200,111 @@ def permutation_table(images):
     elems = tuple(sorted(images))
     index = {p: i for i, p in enumerate(elems)}
     table = tuple(
-        tuple(index[tuple(map(a.__getitem__, b))] for b in elems) for a in elems
+        tuple(index[_after(a, b)] for b in elems) for a in elems
     )
     return elems, table
 
 
-def pair_perm(p):
-    """The induced permutation of ordered pairs, indexed by x*n + y."""
-    n = p.degree
-    return Perm(p(x) * n + p(y) for x in range(n) for y in range(n))
+class StabilizerChain:
+    """A base and strong generating set, by deterministic Schreier-Sims.
+
+    Level ``i`` holds the base point ``base[i]``, the strong generators
+    ``strong[i]`` (image tuples fixing ``base[:i]``) and the transversal
+    ``transversals[i]``, which maps each point p of the basic orbit of
+    ``base[i]`` to a pair (u, u^-1) with u(base[i]) = p. Every Schreier
+    generator of every level sifts to the identity, so the group order is
+    the product of the basic orbit lengths.
+    """
+
+    __slots__ = ("identity", "base", "strong", "transversals")
+
+    def __init__(self, generators, degree):
+        self.identity = identity = tuple(range(degree))
+        self.base = []
+        self.strong = []
+        self.transversals = []
+        generators = [g for g in dict.fromkeys(generators) if g != identity]
+        for g in generators:
+            if all(g[b] == b for b in self.base):
+                self._add_level(next(x for x in identity if g[x] != x))
+        for i in range(len(self.base)):
+            fixed = self.base[:i]
+            self.strong[i] = [g for g in generators if all(g[b] == b for b in fixed)]
+            self._extend_orbit(i)
+        i = len(self.base) - 1
+        while i >= 0:
+            resume = self._schreier_level(i)
+            i = i - 1 if resume is None else resume
+
+    def _add_level(self, point):
+        self.base.append(point)
+        self.strong.append([])
+        self.transversals.append({point: (self.identity, self.identity)})
+
+    def _extend_orbit(self, i):
+        """Grow the transversal of level ``i`` under its current strong generators."""
+        transversal, gens = self.transversals[i], self.strong[i]
+        queue = list(transversal)
+        for p in queue:
+            u = transversal[p][0]
+            for s in gens:
+                q = s[p]
+                if q not in transversal:
+                    v = _after(s, u)
+                    transversal[q] = (v, _inverse(v))
+                    queue.append(q)
+
+    def _schreier_level(self, i):
+        """Sift the Schreier generators u_{s(p)}^-1 s u_p of level ``i``.
+
+        Returns None when all of them sift to the identity. Otherwise the
+        first nontrivial residue joins the strong generators of the levels
+        after ``i`` up to the one where its sift stopped, which is a new
+        level if the residue fixes the whole base; that level is returned,
+        and the caller resumes there.
+        """
+        transversal = self.transversals[i]
+        for p, (u, _) in list(transversal.items()):
+            for s in self.strong[i]:
+                su = _after(s, u)
+                target = transversal[s[p]]
+                if su == target[0]:
+                    continue
+                residue, level = self.sift(_after(target[1], su), i + 1)
+                if residue == self.identity:
+                    continue
+                if level == len(self.base):
+                    self._add_level(next(x for x in self.identity if residue[x] != x))
+                for m in range(i + 1, level + 1):
+                    self.strong[m].append(residue)
+                    self._extend_orbit(m)
+                return level
+        return None
+
+    def sift(self, images, start=0):
+        """Strip ``images`` through the levels from ``start`` on.
+
+        Returns the residue and the level where it left its basic orbit, or
+        ``len(base)`` if it passed every level; the residue is the identity
+        exactly when the image tuple lies in the group.
+        """
+        for level in range(start, len(self.base)):
+            entry = self.transversals[level].get(images[self.base[level]])
+            if entry is None:
+                return images, level
+            images = _after(entry[1], images)
+        return images, len(self.base)
+
+    @property
+    def orbit_lengths(self):
+        return [len(t) for t in self.transversals]
 
 
 class PermGroup:
-    """A permutation group given by generators, enumerated on demand."""
+    """A permutation group given by generators, with a stabilizer chain built
+    on demand; the element list is enumerated only when asked for."""
 
-    __slots__ = ("degree", "generators", "_elements")
+    __slots__ = ("degree", "generators", "_elements", "_chain")
 
     def __init__(self, generators, degree=None):
         generators = tuple(generators)
@@ -216,6 +317,12 @@ class PermGroup:
         self.degree = degree
         self.generators = generators
         self._elements = None
+        self._chain = None
+
+    def chain(self):
+        if self._chain is None:
+            self._chain = StabilizerChain([g.images for g in self.generators], self.degree)
+        return self._chain
 
     def elements(self, cap=DEFAULT_CLOSURE_CAP):
         if self._elements is None:
@@ -223,8 +330,9 @@ class PermGroup:
             self._elements = closure(gens, cap)
         return self._elements
 
-    def order(self, cap=DEFAULT_CLOSURE_CAP):
-        return len(self.elements(cap))
+    def order(self):
+        """The product of the basic orbit lengths of the stabilizer chain."""
+        return math.prod(self.chain().orbit_lengths)
 
     def orbit(self, point):
         gens = self.generators or (Perm.identity(self.degree),)
@@ -234,15 +342,22 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def is_doubly_transitive(self):
-        """Transitivity on ordered distinct pairs, via the orbit of (0, 1)."""
+        """Transitive, and the stabilizer of the first base point has an orbit
+        of length n - 1. A chain of one level means a trivial stabilizer,
+        whose orbits have length 1."""
         n = self.degree
         if n < 2:
             raise ValueError("double transitivity needs degree >= 2")
-        gens = [pair_perm(g) for g in self.generators] or [Perm.identity(n * n)]
-        return len(orbit(gens, 1)) == n * (n - 1)
+        lengths = [*self.chain().orbit_lengths, 1]
+        return lengths[0] == n and lengths[1] == n - 1
 
     def __contains__(self, perm):
-        return perm in self.elements()
+        chain = self.chain()
+        return (
+            isinstance(perm, Perm)
+            and perm.degree == self.degree
+            and chain.sift(perm.images)[0] == chain.identity
+        )
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"

@@ -101,6 +101,14 @@ def primitive_affine(order):
     return q.affine_quandle(group, companion(coeffs))
 
 
+def transposition_quandle(k):
+    """The conjugation quandle on the k(k-1)/2 transpositions of Sym(k),
+    in lexicographic order of their pairs; its LMlt is Sym(k)."""
+    return q.conjugation_quandle(
+        q.Perm.from_cycles(k, [(i, j)]) for i in range(k) for j in range(i + 1, k)
+    )
+
+
 def automorphism_order(alpha):
     """The least k >= 1 with alpha^k = 1."""
     identity = q.AbHom.identity(alpha.source)
@@ -293,6 +301,19 @@ def reference_normalized_cocycles(quandle, coeff, u=0):
     if propagate([]):
         search()
     return results
+
+
+def pair_perm(p):
+    """The induced permutation of ordered pairs, indexed by x*n + y."""
+    n = p.degree
+    return q.Perm(p(x) * n + p(y) for x in range(n) for y in range(n))
+
+
+def reference_is_doubly_transitive(generators, degree):
+    """Transitivity on ordered distinct pairs, via the orbit of (0, 1) under
+    the n^2-point pair permutations."""
+    gens = [pair_perm(g) for g in generators] or [q.Perm.identity(degree * degree)]
+    return len(q.orbit(gens, 1)) == degree * (degree - 1)
 
 
 def reference_cocycle_witness(quandle, coeff, values):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -9,7 +12,7 @@ from quandles.cli import main
 from quandles.cocycles import CoeffGroup, ConstantCocycle, cocycle_to_json
 from quandles.knots import GAUSS_CODES
 from quandles.pi1 import MAX_PI1_RANK
-from conftest import beta_a_table
+from conftest import beta_a_table, transposition_quandle
 
 
 @pytest.fixture
@@ -77,6 +80,43 @@ def test_check_json_deterministic(capsys, table_files):
     payload = json.loads(out1)
     assert payload["lmlt_order"] == 6
     assert payload["semiregular_length"] == 2
+
+
+def test_check_sym10_transpositions_exact_order(capsys, tmp_path):
+    # |LMlt| = 10! = 3628800, beyond any element list the check could afford
+    path = tmp_path / "t10.txt"
+    path.write_text(q.quandle_to_text(transposition_quandle(10)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "lmlt order: 3628800" in out.splitlines()
+    assert "doubly transitive: no" in out.splitlines()
+
+
+def test_closure_cap_is_a_usage_error(capsys, table_files):
+    code, out, err = run(capsys, "check", table_files["r3"], "--closure-cap", "10")
+    assert code == 2
+    assert out == ""
+    assert "--closure-cap" in err
+
+
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch, table_files):
+    # main builds its parser once per process; a usage error followed by a
+    # valid check must print what each prints when run alone
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [["check", "--closure-cap", "5", table_files["r3"]], ["check", table_files["r3"]]]
+    in_process = [run(capsys, *argv) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(q.__file__)))
+    alone = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quandles", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == alone
+    assert [code for code, _, _ in alone] == [2, 0]
 
 
 def test_h2c_command(capsys, table_files):

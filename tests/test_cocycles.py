@@ -289,6 +289,22 @@ def test_cohomologous_matches_latin_reference_on_corpus(affine_corpus):
                 assert sum(q.are_cohomologous(beta, rep) for rep in reps) == 1, (name, points)
 
 
+def test_cohomologous_checks_every_pair(q4):
+    """A twist of beta changed at any one pair is cohomologous to beta in
+    neither order, so the propagation must check every pair (x, y)."""
+    z22 = CoeffGroup.abelian((2, 2))
+    beta = ConstantCocycle(q4, z22, beta_a_table(q4, z22, 1))
+    twisted = cmod._twist(beta, [0, 1, 2, 3])
+    for x, y in product(range(q4.size), repeat=2):
+        for value in range(z22.order):
+            if value != twisted[x][y]:
+                table = [list(row) for row in twisted]
+                table[x][y] = value
+                broken = ConstantCocycle(q4, z22, table, check=False)
+                assert cmod.cohomologous(beta, broken) is None, (x, y, value)
+                assert cmod.cohomologous(broken, beta) is None, (x, y, value)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_random_twists_are_cohomologous(q4, data):

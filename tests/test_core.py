@@ -5,7 +5,18 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import quandles as q
-from conftest import AFFINE_CORPUS_DEFS, corrupt, endomorphism, outcome, reference_validate_table
+from conftest import (
+    AFFINE_CORPUS_DEFS,
+    PRIMITIVE_FIELDS,
+    automorphism_order,
+    corrupt,
+    endomorphism,
+    outcome,
+    primitive_affine,
+    reference_is_doubly_transitive,
+    reference_validate_table,
+    transposition_quandle,
+)
 from quandles.core import _validate_table
 from quandles.errors import (
     NotAutomorphism,
@@ -16,7 +27,7 @@ from quandles.errors import (
     NotLeftQuasigroup,
     SubgroupNotFixed,
 )
-from quandles.perms import Perm
+from quandles.perms import Perm, closure
 
 R3_TABLE = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
@@ -287,6 +298,40 @@ def test_doubly_transitive_have_full_cycle_translation(doubly_transitive_corpus)
     for name, quandle in doubly_transitive_corpus:
         structure = quandle.left_section[0].cycle_structure()
         assert structure == (quandle.size - 1, 1), name
+
+
+def test_doubly_transitive_matches_pair_orbit(affine_corpus):
+    quandles = [
+        *affine_corpus,
+        *((f"proj{n}", q.projection_quandle(n)) for n in range(1, 5)),
+        ("transpositions4", transposition_quandle(4)),
+        ("aff27", primitive_affine(27)),
+        ("aff32", primitive_affine(32)),
+    ]
+    for name, quandle in quandles:
+        n = quandle.size
+        expected = n >= 2 and reference_is_doubly_transitive(quandle.left_section, n)
+        assert quandle.is_doubly_transitive() == expected, name
+
+
+def test_lmlt_order_of_connected_affine(affine_corpus, doubly_transitive_corpus):
+    # LMlt(Aff(G, alpha)) is the translations of G extended by <alpha>
+    fields = [(f"aff{order}", primitive_affine(order)) for order in PRIMITIVE_FIELDS]
+    for name, quandle in affine_corpus + fields:
+        assert quandle.lmlt().order() == quandle.size * automorphism_order(quandle.alpha), name
+    # any two points generate Aff(F_q, omega)
+    for name, quandle in doubly_transitive_corpus + fields:
+        assert len(quandle.lmlt().generators) == 2, name
+
+
+def test_lmlt_generators_give_the_group_of_all_rows(small_affine_corpus):
+    quandles = [
+        *small_affine_corpus,
+        ("proj3", q.projection_quandle(3)),
+        ("transpositions4", transposition_quandle(4)),
+    ]
+    for name, quandle in quandles:
+        assert closure(quandle.lmlt().generators) == closure(quandle.left_section), name
 
 
 def test_isomorphism_brute_force(r3):

@@ -3,8 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from itertools import permutations as iter_permutations
 
+from conftest import pair_perm, reference_is_doubly_transitive
 from quandles.errors import CapExceeded
-from quandles.perms import Perm, PermGroup, closure, compose, inverse, orbit, pair_perm
+from quandles.perms import Perm, PermGroup, closure, compose, inverse, orbit
 
 perm8 = st.permutations(tuple(range(8))).map(Perm)
 perm6 = st.permutations(tuple(range(6))).map(Perm)
@@ -77,6 +78,26 @@ def test_closure_cap():
     ten_cycle = Perm.from_cycles(10, [tuple(range(10))])
     with pytest.raises(CapExceeded):
         closure([ten_cycle], cap=5)
+
+
+# a degree up to 7 with up to three generators, the identity included
+small_generator_sets = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.permutations(tuple(range(n))).map(Perm), max_size=3)
+    )
+)
+
+
+@given(small_generator_sets)
+def test_chain_matches_closure(degree_gens):
+    degree, gens = degree_gens
+    group = PermGroup(gens, degree=degree)
+    elements = closure(gens or [Perm.identity(degree)])
+    assert group.order() == len(elements)
+    for images in iter_permutations(range(degree)):
+        assert (Perm(images) in group) == (Perm(images) in elements)
+    if degree >= 2:
+        assert group.is_doubly_transitive() == reference_is_doubly_transitive(gens, degree)
 
 
 @given(st.lists(st.permutations(tuple(range(5))).map(Perm), min_size=1, max_size=3))
