@@ -35,7 +35,6 @@ from .cocycles import (
     induced_g_action,
     normalize,
     normalized_cocycles,
-    orbit_of_pair,
     parse_coeff_descriptor,
     trivial_cocycle,
     weak_cocycle_check,
@@ -85,7 +84,7 @@ from .knots import (
     parse_gauss,
     unknot,
 )
-from .perms import Perm, PermGroup, closure, compose, inverse, orbit
+from .perms import Perm, PermGroup, closure, compose, inverse, orbits
 from .pi1 import (
     EnvelopeElement,
     Pi1Presentation,

@@ -44,6 +44,16 @@ def _emit(args, payload, lines):
             print(line)
 
 
+def _json_integers(text, what, nested=False):
+    """A JSON list of integers, or with ``nested`` a list of such lists; any
+    other value, a float or a bool entry included, is a ValueError (exit 2)."""
+    value = json.loads(text)
+    rows = value if nested and isinstance(value, list) else [value]
+    if not all(isinstance(row, list) and all(type(v) is int for v in row) for row in rows):
+        raise ValueError(f"{what} must be a list of {'lists of ' * nested}integers: {text}")
+    return value
+
+
 def _invariants_text(invariants):
     if not invariants:
         return "trivial"
@@ -101,7 +111,7 @@ def cmd_h2c(args):
 
 def cmd_pi1(args):
     group = FinAbGroup.from_descriptor(args.group)
-    alpha = AbHom(group, group, json.loads(args.matrix))
+    alpha = AbHom(group, group, _json_integers(args.matrix, "matrix", nested=True))
     _require_automorphism(group, alpha)
     if not affine_is_connected(group, alpha):
         print("not connected: 1 - alpha is not an automorphism", file=sys.stderr)
@@ -130,7 +140,7 @@ def cmd_pi1(args):
 def cmd_cover_verify(args):
     base = load_quandle_file(args.base)
     total = load_quandle_file(args.total)
-    mapping = json.loads(args.map)
+    mapping = _json_integers(args.map, "--map")
     result = is_covering(total, base, mapping, require_connected=args.require_connected)
     payload = {"covering": result}
     _emit(args, payload, [f"covering: {'yes' if result else 'no'}"])

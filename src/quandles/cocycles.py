@@ -12,6 +12,10 @@ constant cohomology set. On latin quandles every class contains normalized
 representatives (beta(x, u) = 1 for a base point u), which are constant on
 the orbits of three explicit bijections of X x X; :func:`h2c` enumerates the
 classes by backtracking over those orbits.
+
+The pair bijections are image tuples over the pair ids p = x*n + y, and
+their orbits, like the components of a quandle and the conjugacy classes
+of a coefficient group, come from :func:`quandles.perms.orbits`.
 """
 
 from __future__ import annotations
@@ -19,13 +23,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from itertools import permutations
 
 from .abelian import FinAbGroup
 from .core import AffineQuandle, Quandle, _validate_group_table
 from .errors import BudgetExceeded, InvalidCocycle, NotLatin
-from .perms import Perm, orbit, permutation_table
+from .perms import Perm, orbits, permutation_table
 
 DEFAULT_H2C_NODE_BUDGET = 10**6
 # a coefficient group is tabulated in full: order**2 entries
@@ -52,7 +56,7 @@ class CoeffGroup:
     """
 
     __slots__ = ("table", "order", "identity", "inverses", "labels", "_descriptor",
-                 "_images", "_classes")
+                 "_images", "_conjugations", "_classes")
 
     def __init__(self, table, identity, inverses, labels, descriptor, images=None):
         self.table = table
@@ -62,6 +66,7 @@ class CoeffGroup:
         self.labels = labels
         self._descriptor = descriptor
         self._images = images
+        self._conjugations = None
         self._classes = None
 
     @classmethod
@@ -136,14 +141,6 @@ class CoeffGroup:
         """s a s^-1."""
         return self.table[self.table[s][a]][self.inverses[s]]
 
-    def power(self, a, n):
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        result = self.identity
-        for _ in range(n):
-            result = self.mul(result, a)
-        return result
-
     def element_order(self, a):
         n = 1
         cur = a
@@ -159,24 +156,26 @@ class CoeffGroup:
             for b in range(self.order)
         )
 
+    def conjugations(self):
+        """The distinct maps a -> s a s^-1 as image tuples, by least s."""
+        if self._conjugations is None:
+            t, inv = self.table, self.inverses
+            self._conjugations = tuple(
+                dict.fromkeys(tuple(t[sa][inv[s]] for sa in t[s]) for s in range(self.order))
+            )
+        return self._conjugations
+
     def conjugacy_classes(self):
+        """The orbits of the conjugation maps, ordered by least element."""
         if self._classes is None:
-            remaining = set(range(self.order))
-            classes = []
-            while remaining:
-                a = min(remaining)
-                cls_ = {self.conj(s, a) for s in range(self.order)}
-                remaining -= cls_
-                classes.append(tuple(sorted(cls_)))
-            self._classes = tuple(classes)
-        return self._classes
+            self._classes = orbits(self.conjugations(), self.order)
+        return self._classes[1]
 
     def class_rep(self, a):
         """Least element of the conjugacy class of ``a``."""
-        for cls_ in self.conjugacy_classes():
-            if a in cls_:
-                return cls_[0]
-        raise ValueError(f"no element {a}")
+        if not 0 <= a < self.order:
+            raise ValueError(f"no element {a}")
+        return self.conjugacy_classes()[self._classes[0][a]][0]
 
     def label(self, a):
         return self.labels[a]
@@ -227,6 +226,8 @@ class CoeffGroup:
 
 def parse_coeff_descriptor(text):
     """Parse coefficient-group descriptors like ``Sym(3)``, ``S3`` or ``Z 2 x Z 2``."""
+    if not isinstance(text, str):
+        raise ValueError(f"coefficient descriptor is not a string: {text!r}")
     s = text.strip()
     low = s.lower()
     if low == "trivial":
@@ -329,10 +330,15 @@ def weak_cocycle_check(beta):
 
 
 def conjugate_cocycle(beta, sigma):
-    """The cocycle beta^sigma(x, y) = sigma beta(x, y) sigma^-1."""
+    """The cocycle beta^sigma(x, y) = sigma beta(x, y) sigma^-1.
+
+    Conjugation by sigma is an automorphism of G, and the image of a
+    cocycle under a group homomorphism is a cocycle, so it is not
+    re-verified.
+    """
     g = beta.coeff
     values = [[g.conj(sigma, v) for v in row] for row in beta.values]
-    return ConstantCocycle(beta.quandle, g, values)
+    return ConstantCocycle(beta.quandle, g, values, check=False)
 
 
 def normalize(beta, u=0):
@@ -393,13 +399,7 @@ def cohomologous(beta1, beta2):
     n = q.size
     t, mul, inv = q.table, g.table, g.inverses
     v1, v2 = beta1.values, beta2.values
-    components = []
-    seen = set()
-    for start in range(n):
-        if start not in seen:
-            comp = orbit(q.left_section, start)
-            seen |= comp
-            components.append(sorted(comp))
+    _, components = orbits(t, n)
     gamma = [None] * n
     for comp in components:
         rep = comp[0]
@@ -435,10 +435,14 @@ def are_cohomologous(beta1, beta2):
 
 
 def embed_coeffs(beta):
-    """Push a cocycle over G into Sym(G) via the left regular representation."""
+    """Push a cocycle over G into Sym(G) via the left regular representation.
+
+    The embedding is a group homomorphism, so the image of a cocycle is a
+    cocycle and is not re-verified.
+    """
     target, mapping = beta.coeff.regular_embedding()
     values = [[mapping[v] for v in row] for row in beta.values]
-    return ConstantCocycle(beta.quandle, target, values)
+    return ConstantCocycle(beta.quandle, target, values, check=False)
 
 
 class PairMaps:
@@ -451,61 +455,67 @@ class PairMaps:
         h: (x, y) -> ((y/(x\u))*x, y)
 
     k is the inverse of h: k(x, y) = (u/((x*y/u)\y), y).
+
+    Each map is built once, from the table rows and the division caches, as
+    the image tuple ``images[w]`` over the pair ids p = x*n + y.
     """
 
-    __slots__ = ("quandle", "u")
+    __slots__ = ("quandle", "u", "images")
 
     def __init__(self, quandle, u):
         if not quandle.is_latin:
             raise NotLatin("the pair bijections need a latin quandle")
-        if not 0 <= u < quandle.size:
+        n = quandle.size
+        # a negative u would index the rows from the end
+        if not 0 <= u < n:
             raise ValueError(f"base point {u} out of range")
         self.quandle = quandle
         self.u = u
+        t, xs = quandle.table, range(n)
+        left_inv, cols = quandle._division_rows()  # cols[b][a] = a/b
+        tu, over_u = t[u], cols[u]
+        self.images = {
+            "f": tuple(t[x][over_u[y]] * n + t[x][u] for x in xs for y in xs),
+            "g": tuple(tu[x] * n + tu[y] for x in xs for y in xs),
+            "h": tuple(t[cols[left_inv[x][u]][y]][x] * n + y for x in xs for y in xs),
+            "k": tuple(cols[left_inv[over_u[t[x][y]]][y]][u] * n + y for x in xs for y in xs),
+        }
+
+    def _apply(self, which, pair):
+        x, y = pair
+        n = self.quandle.size
+        return divmod(self.images[which][x * n + y], n)
 
     def f(self, pair):
-        x, y = pair
-        q = self.quandle
-        return (q.op(x, q.right_divide(y, self.u)), q.op(x, self.u))
+        return self._apply("f", pair)
 
     def g(self, pair):
-        x, y = pair
-        q = self.quandle
-        return (q.op(self.u, x), q.op(self.u, y))
+        return self._apply("g", pair)
 
     def h(self, pair):
-        x, y = pair
-        q = self.quandle
-        return (q.op(q.right_divide(y, q.left_divide(x, self.u)), x), y)
+        return self._apply("h", pair)
 
     def k(self, pair):
-        x, y = pair
-        q = self.quandle
-        inner = q.left_divide(q.right_divide(q.op(x, y), self.u), y)
-        return (q.right_divide(self.u, inner), y)
+        return self._apply("k", pair)
 
     def get(self, which):
-        try:
-            return {"f": self.f, "g": self.g, "h": self.h, "k": self.k}[which]
-        except KeyError:
-            raise ValueError(f"unknown map {which!r}") from None
+        """The map named ``which`` as a function on pairs."""
+        if which not in self.images:
+            raise ValueError(f"unknown map {which!r}")
+        return partial(self._apply, which)
 
     def as_perm(self, which):
-        """The map as a permutation of pair indices x*n + y."""
-        n = self.quandle.size
-        fn = self.get(which)
-        images = [0] * (n * n)
-        for x in range(n):
-            for y in range(n):
-                px, py = fn((x, y))
-                images[x * n + y] = px * n + py
-        return Perm(images)
+        """The map as a permutation of pair ids x*n + y."""
+        self.get(which)  # ValueError for an unknown name
+        return Perm(self.images[which])
 
 
 @dataclass(frozen=True)
 class OrbitPartition:
     """Orbits of a set of pair bijections on X x X.
 
+    ``blocks`` holds each orbit as a sorted tuple of pairs (x, y), ordered by
+    least pair, and ``index[x*n + y]`` is the number of the block of (x, y).
     For the plain g-partition the three distinguished families are labeled:
     the singleton orbit of (u, u), the orbits of the f-fixed pairs
     (x, x*u), and the orbits of the pairs (x, x\\u) multiplying to u.
@@ -514,20 +524,17 @@ class OrbitPartition:
     base_point: int
     generators: str
     blocks: tuple
+    index: tuple
     uu_block: int | None = None
     f_family: frozenset | None = None
     u_family: frozenset | None = None
 
-    @cached_property
-    def _lookup(self):
-        table = {}
-        for i, block in enumerate(self.blocks):
-            for pair in block:
-                table[pair] = i
-        return table
-
     def block_of(self, pair):
-        return self._lookup[pair]
+        x, y = pair
+        n = math.isqrt(len(self.index))
+        if not (0 <= x < n and 0 <= y < n):
+            raise KeyError(pair)
+        return self.index[x * n + y]
 
     def sizes(self):
         return tuple(len(b) for b in self.blocks)
@@ -536,58 +543,26 @@ class OrbitPartition:
         return len(self.blocks)
 
 
-def orbit_of_pair(quandle, u, gens, pair):
-    """The orbit of ``pair`` under the chosen maps (a subset of "fgh")."""
-    maps = PairMaps(quandle, u)
-    fns = [maps.get(w) for w in gens]
-    seen = {tuple(pair)}
-    frontier = [tuple(pair)]
-    while frontier:
-        new = []
-        for p in frontier:
-            for fn in fns:
-                img = fn(p)
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-    return tuple(sorted(seen))
-
-
 def full_partition(quandle, u, gens="fgh"):
     """Partition X x X into orbits of the chosen maps, blocks sorted by least pair."""
     gens = "".join(sorted(set(gens)))
     if not gens or any(w not in "fgh" for w in gens):
         raise ValueError(f"generators must be a nonempty subset of 'fgh': {gens!r}")
+    maps = PairMaps(quandle, u)
     n = quandle.size
-    assigned = set()
-    blocks = []
-    for x in range(n):
-        for y in range(n):
-            if (x, y) not in assigned:
-                block = orbit_of_pair(quandle, u, gens, (x, y))
-                assigned.update(block)
-                blocks.append(block)
-    part = OrbitPartition(base_point=u, generators=gens, blocks=tuple(blocks))
+    index, blocks = orbits([maps.images[w] for w in gens], n * n)
+    families = {}
     if gens == "g":
-        q = quandle
-        lookup = part.block_of
-        uu = lookup((u, u))
-        f_family = frozenset(
-            lookup((x, q.op(x, u))) for x in range(n) if x != u
-        )
-        u_family = frozenset(
-            lookup((x, q.left_divide(x, u))) for x in range(n) if x != u
-        )
-        part = OrbitPartition(
-            base_point=u,
-            generators=gens,
-            blocks=part.blocks,
-            uu_block=uu,
-            f_family=f_family,
-            u_family=u_family,
-        )
-    return part
+        t = quandle.table
+        left_inv, _ = quandle._division_rows()
+        others = [x for x in range(n) if x != u]
+        families = {
+            "uu_block": index[u * n + u],
+            "f_family": frozenset(index[x * n + t[x][u]] for x in others),
+            "u_family": frozenset(index[x * n + left_inv[x][u]] for x in others),
+        }
+    blocks = tuple(tuple(divmod(p, n) for p in block) for block in blocks)
+    return OrbitPartition(u, gens, blocks, index, **families)
 
 
 def induced_g_action(quandle, u, which):
@@ -598,13 +573,14 @@ def induced_g_action(quandle, u, which):
     if which not in ("f", "h"):
         raise ValueError("induced action is defined for 'f' and 'h'")
     part = full_partition(quandle, u, "g")
-    maps = PairMaps(quandle, u)
-    fn = maps.get(which)
+    images = PairMaps(quandle, u).images[which]
+    index, n = part.index, quandle.size
     out = []
     for i, block in enumerate(part.blocks):
-        images = {fn(p) for p in block}
-        target = part.block_of(next(iter(images)))
-        if images != set(part.blocks[target]):
+        targets = {index[images[x * n + y]] for x, y in block}
+        target = targets.pop()
+        # images is injective, so one target block of equal size is the whole block
+        if targets or len(part.blocks[target]) != len(block):
             raise AssertionError(
                 f"{which} does not map g-orbit {i} onto a single g-orbit"
             )
@@ -620,30 +596,26 @@ def f_orbit_length(quandle, u, x, y):
     formula must as well.
     """
     q = quandle
-    maps = PairMaps(q, u)
+    f = PairMaps(q, u).images["f"]
     n = q.size
-    start = (x, y)
+    start = x * n + y
     length = 1
-    cur = maps.f(start)
+    cur = f[start]
     while cur != start:
         length += 1
         if length > n * n:
             raise AssertionError("f-orbit failed to close")
-        cur = maps.f(cur)
+        cur = f[cur]
 
     yu = q.right_divide(y, u)
     phi = q.left_section[x] * q.left_section[yu]
-    pows = [Perm.identity(n), phi]
-
-    def phi_pow(j):
-        while len(pows) <= j:
-            pows.append(pows[-1] * phi)
-        return pows[j]
-
+    # the first coordinate of f^k(x, y) is phi^(k/2)(x) for even k and
+    # phi^((k+1)/2)(y/u) for odd k
+    points = [x, yu]
     recursion_length = None
     for k in range(1, n * n + 1):
-        fk = phi_pow(k // 2)(x) if k % 2 == 0 else phi_pow((k + 1) // 2)(yu)
-        if fk == x:
+        points[k % 2] = phi(points[k % 2])
+        if points[k % 2] == x:
             recursion_length = k
             break
     if recursion_length != length:
@@ -697,12 +669,10 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     e = coeff.identity
     values = [None] * nblocks
     # blk[x*n + y] is the orbit of the pair (x, y)
-    blk = [0] * (n * n)
-    for i, block in enumerate(part.blocks):
-        for x, y in block:
-            blk[x * n + y] = i
-            if x == y or x == u or y == u:
-                values[i] = e
+    blk = part.index
+    for x in range(n):
+        for p in (x * n + x, x * n + u, u * n + x):
+            values[blk[p]] = e
 
     t = q.table
     rows = [blk[x * n:(x + 1) * n] for x in range(n)]
@@ -788,16 +758,14 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
     """Representatives of the second constant cohomology classes.
 
     Normalized cocycles are cohomologous exactly when conjugate by a single
-    group element, so classes are buckets under pointwise conjugation; the
-    representative of each class is its lexicographically least table.
+    group element, so classes are buckets under the conjugation maps of
+    ``coeff``; the representative of each class is its lexicographically
+    least table. A representative is the image of a verified cocycle under
+    an automorphism of the group, so it is a cocycle by construction and is
+    not re-verified.
     """
     cocycles = normalized_cocycles(quandle, coeff, u, node_budget)
-    # one conjugation map a -> s a s^-1 per distinct action; an abelian
-    # group has just the identity map
-    table, inverses = coeff.table, coeff.inverses
-    conjugations = {
-        tuple(table[sa][inverses[s]] for sa in table[s]) for s in range(coeff.order)
-    }
+    conjugations = coeff.conjugations()
     # tables of equal shape compare like their row-major flattenings
     n = quandle.size
     canonical = set()
@@ -805,7 +773,9 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
         flat = [v for row in beta.values for v in row]
         canonical.add(min(tuple(map(c.__getitem__, flat)) for c in conjugations))
     return [
-        ConstantCocycle(quandle, coeff, [flat[x * n:(x + 1) * n] for x in range(n)])
+        ConstantCocycle(
+            quandle, coeff, [flat[x * n:(x + 1) * n] for x in range(n)], check=False
+        )
         for flat in sorted(canonical)
     ]
 
@@ -828,13 +798,26 @@ def cocycle_to_json(beta, quandle_ref=None):
     }
 
 
+def document_field(data, key, kind):
+    """``data[key]`` of a parsed JSON document, or ValueError if ``data`` is
+    not an object or lacks the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} document is not a JSON object")
+    if key not in data:
+        raise ValueError(f"{kind} document has no {key!r} key")
+    return data[key]
+
+
 def cocycle_from_json(data, quandle=None, coeff=None):
     if quandle is None:
-        ref = data["quandle"]
+        ref = document_field(data, "quandle", "cocycle")
         if not isinstance(ref, dict) or "table" not in ref:
             raise ValueError("cocycle document does not embed its quandle table")
         quandle = Quandle(ref["table"])
     if coeff is None:
-        coeff = parse_coeff_descriptor(data["coeff"])
-    values = [[coeff.index_of_label(s) for s in row] for row in data["values"]]
+        coeff = parse_coeff_descriptor(document_field(data, "coeff", "cocycle"))
+    rows = document_field(data, "values", "cocycle")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("cocycle values are not a list of lists")
+    values = [[coeff.index_of_label(s) for s in row] for row in rows]
     return ConstantCocycle(quandle, coeff, values)

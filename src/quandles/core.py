@@ -21,7 +21,7 @@ from .errors import (
     NotLeftQuasigroup,
     SubgroupNotFixed,
 )
-from .perms import Perm, PermGroup, orbit, permutation_table
+from .perms import Perm, PermGroup, orbits, permutation_table
 
 
 def _validate_table(table):
@@ -170,7 +170,7 @@ class Quandle:
 
     def is_connected(self):
         """True iff the left multiplication group acts transitively."""
-        return len(orbit(self.left_section, 0)) == self.size
+        return len(orbits(self.table, self.size)[1]) == 1
 
     def is_doubly_transitive(self):
         """True iff LMlt acts transitively on ordered pairs of distinct points."""
@@ -350,15 +350,9 @@ class CosetQuandle(Quandle):
         for h in sub:
             if auto[h] != h:
                 raise SubgroupNotFixed(f"alpha moves subgroup element {h}")
-        # left cosets, ordered by least representative
-        coset_of = [None] * n
-        cosets = []
-        for x in range(n):
-            if coset_of[x] is None:
-                block = tuple(sorted(t[x][h] for h in sub))
-                for y in block:
-                    coset_of[y] = len(cosets)
-                cosets.append(block)
+        # left cosets xH, the orbits of right multiplication by H, ordered by
+        # least representative
+        coset_of, cosets = orbits([[row[h] for row in t] for h in sub], n)
         m = len(cosets)
         table = [[None] * m for _ in range(m)]
         for i, bi in enumerate(cosets):

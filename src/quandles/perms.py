@@ -5,6 +5,10 @@ stabilizer chain built by deterministic Schreier-Sims (Sims 1970; Seress,
 *Permutation Group Algorithms*, 2003), so no element is listed. The full
 element list, by breadth-first closure, is built only where a caller needs
 every element, such as a coset quandle's Cayley table.
+
+Orbits of any set of maps given as image arrays, be they permutation
+images, quandle table rows, pair maps over pair ids or conjugation maps of
+a coefficient group, come from the one breadth-first routine :func:`orbits`.
 """
 
 from __future__ import annotations
@@ -103,12 +107,8 @@ class Perm:
 
     def orbit_of(self, point):
         """The cycle of ``point``, as a set."""
-        orbit = {point}
-        image = self.images[point]
-        while image != point:
-            orbit.add(image)
-            image = self.images[image]
-        return orbit
+        index, blocks = orbits([self.images], self.degree)
+        return set(blocks[index[point]])
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -174,21 +174,31 @@ def closure(generators, cap=DEFAULT_CLOSURE_CAP):
     return frozenset(elements)
 
 
-def orbit(generators, point):
-    """Smallest set containing ``point`` and invariant under the generators."""
-    generators = list(generators)
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        new = []
-        for g in generators:
-            for x in frontier:
-                y = g(x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
+def orbits(maps, size):
+    """The orbits on range(size) of the group generated by ``maps``.
+
+    Each map is a sequence of images over range(size), a bijection, so the
+    forward closure of a point is its orbit. Returns ``(index, blocks)``:
+    the blocks are sorted tuples ordered by their least point, and
+    ``index[p]`` is the number of the block of p.
+    """
+    index = [None] * size
+    blocks = []
+    for start in range(size):
+        if index[start] is not None:
+            continue
+        number = len(blocks)
+        index[start] = number
+        block = [start]
+        for p in block:
+            for images in maps:
+                image = images[p]
+                if index[image] is None:
+                    index[image] = number
+                    block.append(image)
+        block.sort()
+        blocks.append(tuple(block))
+    return tuple(index), tuple(blocks)
 
 
 def permutation_table(images):
@@ -335,8 +345,8 @@ class PermGroup:
         return math.prod(self.chain().orbit_lengths)
 
     def orbit(self, point):
-        gens = self.generators or (Perm.identity(self.degree),)
-        return orbit(gens, point)
+        index, blocks = orbits([g.images for g in self.generators], self.degree)
+        return frozenset(blocks[index[point]])
 
     def is_transitive(self):
         return len(self.orbit(0)) == self.degree

@@ -303,6 +303,45 @@ def reference_normalized_cocycles(quandle, coeff, u=0):
     return results
 
 
+def reference_pair_partition(quandle, u, gens):
+    """The orbits of the chosen pair maps (a subset of "fgh") on X x X, by a
+    breadth-first search over pairs that evaluates the defining formulas
+
+        f: (x, y) -> (x*(y/u), x*u)
+        g: (x, y) -> (u*x, u*y)
+        h: (x, y) -> ((y/(x\\u))*x, y)
+
+    with the quandle's ``op``, ``right_divide`` and ``left_divide``; blocks
+    are sorted and ordered by least pair."""
+    op, rdiv, ldiv = quandle.op, quandle.right_divide, quandle.left_divide
+    formulas = {
+        "f": lambda x, y: (op(x, rdiv(y, u)), op(x, u)),
+        "g": lambda x, y: (op(u, x), op(u, y)),
+        "h": lambda x, y: (op(rdiv(y, ldiv(x, u)), x), y),
+    }
+    fns = [formulas[w] for w in gens]
+    n = quandle.size
+    assigned = set()
+    blocks = []
+    for start in product(range(n), repeat=2):
+        if start in assigned:
+            continue
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for pair in frontier:
+                for fn in fns:
+                    image = fn(*pair)
+                    if image not in seen:
+                        seen.add(image)
+                        new.append(image)
+            frontier = new
+        assigned |= seen
+        blocks.append(tuple(sorted(seen)))
+    return tuple(blocks)
+
+
 def pair_perm(p):
     """The induced permutation of ordered pairs, indexed by x*n + y."""
     n = p.degree
@@ -312,8 +351,8 @@ def pair_perm(p):
 def reference_is_doubly_transitive(generators, degree):
     """Transitivity on ordered distinct pairs, via the orbit of (0, 1) under
     the n^2-point pair permutations."""
-    gens = [pair_perm(g) for g in generators] or [q.Perm.identity(degree * degree)]
-    return len(q.orbit(gens, 1)) == degree * (degree - 1)
+    group = q.PermGroup([pair_perm(g) for g in generators], degree * degree)
+    return len(group.orbit(1)) == degree * (degree - 1)
 
 
 def reference_cocycle_witness(quandle, coeff, values):

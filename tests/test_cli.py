@@ -177,6 +177,15 @@ def test_pi1_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("matrix", ["5", "null", "[1]", "[[null]]", "[[2.5]]"])
+def test_pi1_matrix_must_be_integer_rows(capsys, matrix):
+    # [[2.5]] was truncated to [[2]] and reported as a success
+    code, out, err = run(capsys, "pi1", "Z 3", matrix)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: matrix must be a list of lists of integers")
+
+
 def test_pi1_needs_no_table(capsys):
     # Q(Z_1001, 3) is connected and cyclic, so simply connected; its
     # million-entry table is never built
@@ -236,6 +245,30 @@ def test_cover_verify(capsys, tmp_path, table_files, r3):
     )
     assert code == 1
     assert "covering: no" in out
+
+
+@pytest.mark.parametrize("mapping", ["5", "[0,1,2.5]", "[false,true,2]"])
+def test_cover_map_must_be_integers(capsys, table_files, mapping):
+    # the last two were read as [0, 1, 2] and verified as a covering
+    code, out, err = run(capsys, "cover", "verify", "--base", table_files["r3"],
+                         "--total", table_files["r3"], "--map", mapping)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: --map must be a list of integers")
+
+
+@pytest.mark.parametrize("document", [
+    [], {"quandle": "r3", "coeff": "Sym2"}, {"values": 5},
+], ids=["top-level-list", "no-values", "values-not-rows"])
+def test_knot_malformed_cocycle_document(capsys, tmp_path, table_files, document):
+    cocycle_path = tmp_path / "bad.json"
+    cocycle_path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "knot", "invariant", "--quandle", table_files["r3"],
+                         "--coeff", "Sym2", "--cocycle", str(cocycle_path),
+                         "--gauss", "unknot")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: cocycle")
 
 
 def test_knot_invariant_command(capsys, tmp_path, table_files, q4):
@@ -306,6 +339,22 @@ def test_orbits_command(capsys, table_files):
     assert out == out2
     code, _, err = run(capsys, "orbits", table_files["r3"], "7")
     assert code == 2
+
+
+@pytest.mark.parametrize("point", ["-1", "3"])
+def test_h2c_base_point_out_of_range(capsys, table_files, point):
+    # a negative point would otherwise index the flat pair arrays from the end
+    code, out, err = run(capsys, "h2c", table_files["r3"], "Sym2", "--base-point", point)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: base point {point} out of range\n"
+
+
+def test_orbits_negative_base_point(capsys, table_files):
+    code, out, err = run(capsys, "orbits", table_files["r3"], "-1")
+    assert code == 2
+    assert out == ""
+    assert "base point -1 out of range" in err
 
 
 def test_orbits_q4_uniform_f_length(capsys, table_files):

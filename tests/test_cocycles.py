@@ -32,6 +32,7 @@ from conftest import (
     reference_cocycle_witness,
     reference_latin_cohomologous,
     reference_normalized_cocycles,
+    reference_pair_partition,
     reference_weak_cocycle_check,
 )
 
@@ -77,6 +78,25 @@ def test_symmetric_coeff_group():
                 assert sym.perm_images(sym.mul(a, b)) == tuple(pa[i] for i in pb)
         sizes = sorted(len(c) for c in sym.conjugacy_classes())
         assert sizes == class_sizes
+
+
+def test_conjugacy_classes_are_conjugation_orbits():
+    """Classes and class representatives against the set of all conjugates
+    of each element, on Sym(1..5), abelian and Cayley-table groups."""
+    s3 = CoeffGroup.symmetric(3)
+    groups = [CoeffGroup.symmetric(k) for k in range(1, 6)]
+    groups += [CoeffGroup.abelian(m) for m in ((2,), (4,), (2, 2), (2, 3))]
+    groups.append(CoeffGroup.from_cayley([[s3.mul(a, b) for b in range(6)] for a in range(6)]))
+    for g in groups:
+        expected = sorted({tuple(sorted({g.conj(s, a) for s in range(g.order)}))
+                           for a in range(g.order)})
+        assert list(g.conjugacy_classes()) == expected, g
+        assert len(g.conjugations()) == len(set(g.conjugations()))
+        for cls_ in expected:
+            assert all(g.class_rep(a) == cls_[0] for a in cls_)
+        for a in (-1, g.order):
+            with pytest.raises(ValueError):
+                g.class_rep(a)
 
 
 def test_coeff_order_cap_checked_before_enumeration():
@@ -356,9 +376,9 @@ def test_affine_h_is_translation(small_affine_corpus):
 
 
 def test_g_orbit_sizes(r3):
-    assert q.orbit_of_pair(r3, 0, "g", (0, 0)) == ((0, 0),)
-    assert len(q.orbit_of_pair(r3, 0, "g", (1, 2))) == 2
     part = q.full_partition(r3, 0, "g")
+    assert part.blocks[part.block_of((0, 0))] == ((0, 0),)
+    assert len(part.blocks[part.block_of((1, 2))]) == 2
     # lcm law: |O_g(x, y)| = lcm of the translation-orbit sizes of x and y
     l0 = r3.left_section[0]
     import math
@@ -366,6 +386,51 @@ def test_g_orbit_sizes(r3):
     for block in part.blocks:
         x, y = block[0]
         assert len(block) == math.lcm(len(l0.orbit_of(x)), len(l0.orbit_of(y)))
+
+
+def test_full_partition_matches_reference(affine_corpus):
+    """The flat-array orbits against the formula BFS, for every nonempty
+    subset of "fgh", at every base point when |X| <= 9 and at 0 above."""
+    subsets = ["".join(c for c, bit in zip("fgh", bits) if bit)
+               for bits in product((0, 1), repeat=3) if any(bits)]
+    for name, quandle in affine_corpus:
+        n = quandle.size
+        for u in range(n) if n <= 9 else (0,):
+            for gens in subsets:
+                part = q.full_partition(quandle, u, gens)
+                expected = reference_pair_partition(quandle, u, gens)
+                assert part.blocks == expected, (name, u, gens)
+                for i, block in enumerate(part.blocks):
+                    assert all(part.block_of(pair) == i for pair in block)
+                for pair in ((-1, 0), (0, -1), (n, 0), (0, n)):
+                    with pytest.raises(KeyError):
+                        part.block_of(pair)
+
+
+def test_homomorphic_images_are_cocycles(affine_corpus):
+    """h2c representatives, conjugates and regular embeddings are built
+    without a check: each is the image of a verified cocycle under a group
+    homomorphism. Re-prove every one with the n^3 reference (|X| <= 9)."""
+    coeffs = [CoeffGroup.symmetric(k) for k in (2, 3, 4)]
+    coeffs += [CoeffGroup.abelian(m) for m in ((2,), (3,), (2, 2))]
+    checked = 0
+    for name, quandle in affine_corpus:
+        n = quandle.size
+        if n > 9:
+            continue
+        for coeff in coeffs:
+            images = list(q.h2c(quandle, coeff))
+            gamma = [(x + 1) % coeff.order for x in range(n)]
+            for beta in normalized_cocycles(quandle, coeff, 0):
+                for b in (beta, ConstantCocycle(quandle, coeff, cmod._twist(beta, gamma))):
+                    images += [q.conjugate_cocycle(b, s) for s in range(coeff.order)]
+                    if coeff.order <= 6:
+                        images.append(q.embed_coeffs(b))
+            for image in images:
+                witness = reference_cocycle_witness(quandle, image.coeff, image.values)
+                assert witness is None, (name, coeff, witness)
+            checked += len(images)
+    assert checked == 2622
 
 
 def test_h_fixed_points(small_affine_corpus):
@@ -591,6 +656,20 @@ def test_cocycle_json_roundtrip(q4):
     assert loaded.quandle.table == q4.table
     loaded2 = cocycle_from_json(json.loads(text), quandle=q4, coeff=z2)
     assert loaded2 == beta
+
+
+def test_cocycle_json_rejects_malformed_documents(q4):
+    z2 = CoeffGroup.abelian((2,))
+    doc = cocycle_to_json(q.trivial_cocycle(q4, z2))
+    no_values = {k: v for k, v in doc.items() if k != "values"}
+    cases = [[doc], None, no_values, {**doc, "values": 5}, {**doc, "values": ["0", "0"]},
+             {**doc, "coeff": 2}, {"values": doc["values"]}]
+    for bad in cases:
+        with pytest.raises(ValueError):
+            cocycle_from_json(bad)
+    for bad in ([doc], no_values, {**doc, "values": 5}):
+        with pytest.raises(ValueError):
+            cocycle_from_json(bad, quandle=q4, coeff=z2)
 
 
 def test_h2c_over_cayley_coefficients(q4):

@@ -223,6 +223,16 @@ def test_extend_quotient_round_trip(small_affine_corpus):
                 result = quotient(ext.total, checked_fibers(ext))
                 assert result.quotient.table == quandle.table, name
                 checked_fibers(result.extension)
+                # quotient does not re-check its reconstruction: it must be a
+                # bijective homomorphism onto the rebuilt total
+                embedding, total = result.embedding, result.extension.total
+                assert sorted(embedding) == list(range(total.size)), name
+                size = ext.total.size
+                assert all(
+                    embedding[ext.total.op(a, b)] == total.op(embedding[a], embedding[b])
+                    for a in range(size)
+                    for b in range(size)
+                ), name
 
 
 def test_ker_left_section(r3):
@@ -404,6 +414,20 @@ def test_extension_json_roundtrip(q4):
     assert loaded.projection == ext.projection
     loaded2 = q.extension_from_json(doc, base=q4)
     assert loaded2.constant == beta
+
+
+def test_extension_json_rejects_malformed_documents(q4):
+    import json
+
+    s2 = CoeffGroup.symmetric(2)
+    doc = json.loads(json.dumps(q.extension_to_json(extend(q4, q.trivial_cocycle(q4, s2)))))
+    no_fiber = {k: v for k, v in doc.items() if k != "fiber_size"}
+    bad_rows = {**doc, "cocycle": {**doc["cocycle"], "values": [5, 6, 7, 8]}}
+    for bad in ([doc], "text", no_fiber, {"base": doc["base"]}, bad_rows):
+        with pytest.raises(ValueError):
+            q.extension_from_json(bad)
+    with pytest.raises(ValueError):
+        q.extension_from_json({"fiber_size": 2}, base=q4)
 
 
 @settings(max_examples=150, deadline=None)

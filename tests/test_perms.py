@@ -5,7 +5,7 @@ from itertools import permutations as iter_permutations
 
 from conftest import pair_perm, reference_is_doubly_transitive
 from quandles.errors import CapExceeded
-from quandles.perms import Perm, PermGroup, closure, compose, inverse, orbit
+from quandles.perms import Perm, PermGroup, closure, compose, inverse, orbits
 
 perm8 = st.permutations(tuple(range(8))).map(Perm)
 perm6 = st.permutations(tuple(range(6))).map(Perm)
@@ -107,11 +107,16 @@ def test_closure_order_divides_factorial(gens):
 
 
 def test_orbit_examples():
-    assert orbit([Perm.identity(3)], 0) == frozenset({0})
-    assert orbit([Perm.from_cycles(3, [(0, 1, 2)])], 1) == frozenset({0, 1, 2})
+    assert orbits([Perm.identity(3).images], 3) == ((0, 1, 2), ((0,), (1,), (2,)))
+    assert orbits([Perm.from_cycles(3, [(0, 1, 2)]).images], 3) == ((0, 0, 0), ((0, 1, 2),))
     # left translations of the three-element dihedral quandle
-    rows = [Perm([0, 2, 1]), Perm([2, 1, 0]), Perm([1, 0, 2])]
-    assert orbit(rows, 0) == frozenset({0, 1, 2})
+    rows = [(0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    assert orbits(rows, 3) == ((0, 0, 0), ((0, 1, 2),))
+    # blocks ordered by least point and sorted, whatever order BFS meets them in
+    mixed = Perm.from_cycles(6, [(0, 4, 2), (3, 1)]).images
+    assert orbits([mixed], 6) == ((0, 1, 0, 1, 0, 2), ((0, 2, 4), (1, 3), (5,)))
+    assert orbits([], 2) == ((0, 1), ((0,), (1,)))
+    assert PermGroup([Perm(mixed)]).orbit(4) == frozenset({0, 2, 4})
 
 
 def test_transitivity_flags():
