@@ -55,7 +55,6 @@ from .core import (
     projection_quandle,
     quandle_from_text,
     quandle_to_text,
-    trivial_quandle,
 )
 from .coverings import (
     Congruence,
@@ -84,7 +83,7 @@ from .knots import (
     parse_gauss,
     unknot,
 )
-from .perms import Perm, PermGroup, closure, compose, inverse, orbits
+from .perms import Perm, PermGroup, closure, orbits
 from .pi1 import (
     EnvelopeElement,
     Pi1Presentation,

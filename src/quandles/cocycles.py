@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import permutations
 
 from .abelian import FinAbGroup
 from .core import AffineQuandle, Quandle, _validate_group_table
 from .errors import BudgetExceeded, InvalidCocycle, NotLatin
-from .perms import Perm, orbits, permutation_table
+from .perms import orbits, permutation_table
+from .search import find, solutions, union
 
 DEFAULT_H2C_NODE_BUDGET = 10**6
 # a coefficient group is tabulated in full: order**2 entries
@@ -56,7 +56,7 @@ class CoeffGroup:
     """
 
     __slots__ = ("table", "order", "identity", "inverses", "labels", "_descriptor",
-                 "_images", "_conjugations", "_classes")
+                 "_images", "_conjugations", "_classes", "_division")
 
     def __init__(self, table, identity, inverses, labels, descriptor, images=None):
         self.table = table
@@ -68,6 +68,7 @@ class CoeffGroup:
         self._images = images
         self._conjugations = None
         self._classes = None
+        self._division = None
 
     @classmethod
     def symmetric(cls, points):
@@ -155,6 +156,16 @@ class CoeffGroup:
             for a in range(self.order)
             for b in range(self.order)
         )
+
+    def _division_rows(self):
+        """Rows solving ab = c: left[a][c] = a^-1 c and right[b][c] = c b^-1."""
+        if self._division is None:
+            t, inv = self.table, self.inverses
+            self._division = (
+                tuple(t[i] for i in inv),
+                tuple(tuple(row[i] for row in t) for i in inv),
+            )
+        return self._division
 
     def conjugations(self):
         """The distinct maps a -> s a s^-1 as image tuples, by least s."""
@@ -457,7 +468,8 @@ class PairMaps:
     k is the inverse of h: k(x, y) = (u/((x*y/u)\y), y).
 
     Each map is built once, from the table rows and the division caches, as
-    the image tuple ``images[w]`` over the pair ids p = x*n + y.
+    the image tuple ``images[w]`` over the pair ids p = x*n + y; k only when
+    it is first asked for, since the orbit partitions read f, g and h.
     """
 
     __slots__ = ("quandle", "u", "images")
@@ -478,7 +490,6 @@ class PairMaps:
             "f": tuple(t[x][over_u[y]] * n + t[x][u] for x in xs for y in xs),
             "g": tuple(tu[x] * n + tu[y] for x in xs for y in xs),
             "h": tuple(t[cols[left_inv[x][u]][y]][x] * n + y for x in xs for y in xs),
-            "k": tuple(cols[left_inv[over_u[t[x][y]]][y]][u] * n + y for x in xs for y in xs),
         }
 
     def _apply(self, which, pair):
@@ -496,18 +507,20 @@ class PairMaps:
         return self._apply("h", pair)
 
     def k(self, pair):
+        if "k" not in self.images:
+            q, u = self.quandle, self.u
+            t, n = q.table, q.size
+            left_inv, cols = q._division_rows()
+            self.images["k"] = tuple(
+                cols[left_inv[cols[u][t[x][y]]][y]][u] * n + y for x in range(n) for y in range(n)
+            )
         return self._apply("k", pair)
 
     def get(self, which):
         """The map named ``which`` as a function on pairs."""
-        if which not in self.images:
+        if which not in ("f", "g", "h", "k"):
             raise ValueError(f"unknown map {which!r}")
-        return partial(self._apply, which)
-
-    def as_perm(self, which):
-        """The map as a permutation of pair ids x*n + y."""
-        self.get(which)  # ValueError for an unknown name
-        return Perm(self.images[which])
+        return getattr(self, which)
 
 
 @dataclass(frozen=True)
@@ -649,9 +662,10 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     Every u-normalized cocycle is constant on the orbits of the three pair
     bijections, so the unknowns are one group element per orbit. Orbits
     containing a pair (x, u), (u, x) or (x, x) are pinned to the identity;
-    the rest are assigned by backtracking, smallest orbit first, with the
-    cocycle condition propagated eagerly after every assignment. Every
-    emitted table is re-verified from scratch.
+    the rest are assigned by :func:`quandles.search.solutions`, smallest
+    orbit first, with the cocycle condition propagated after every
+    assignment; ``node_budget`` bounds its nodes. Every emitted table is
+    re-verified from scratch.
 
     The cocycle instances are collected only for x over one point of each
     cycle of L_u (row u of the table), with all y and z. That loses none:
@@ -665,11 +679,14 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     q = quandle
     n = q.size
     part = full_partition(q, u, "fgh")
-    nblocks = len(part.blocks)
+    blocks = part.blocks
+    # one variable per orbit, numbered in branch order: smallest orbit first
+    var = [0] * len(blocks)
+    for v, i in enumerate(sorted(range(len(blocks)), key=lambda i: (len(blocks[i]), i))):
+        var[i] = v
+    blk = [var[i] for i in part.index]
+    values = [-1] * len(blocks)
     e = coeff.identity
-    values = [None] * nblocks
-    # blk[x*n + y] is the orbit of the pair (x, y)
-    blk = part.index
     for x in range(n):
         for p in (x * n + x, x * n + u, u * n + x):
             values[blk[p]] = e
@@ -684,74 +701,28 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
             ty, by, bxy = t[y], rows[y], rows[tx[y]]
             for z in range(n):
                 add((bxy[tx[z]], bx[z], bx[ty[z]], by[z]))
-    instances = sorted(instances)
 
-    branch_order = sorted(
-        (i for i in range(nblocks) if values[i] is None),
-        key=lambda i: (len(part.blocks[i]), i),
-    )
-    mul, inv = coeff.table, coeff.inverses
-    results = []
-    nodes = 0
+    # an instance beta(a) beta(b) = beta(c) beta(d) equates two products;
+    # the products it equates, directly or through others, share one
+    # variable w, with the relations w = ab and w = cd
+    products = {}
+    for a, b, c, d in instances:
+        products.setdefault((a, b), len(products))
+        products.setdefault((c, d), len(products))
+    parent = list(range(len(products)))
+    for a, b, c, d in instances:
+        union(parent, products[a, b], products[c, d])
+    shared = {}
+    relations = [
+        (shared.setdefault(find(parent, i), len(values) + len(shared)), a, b)
+        for (a, b), i in products.items()
+    ]
+    values.extend([-1] * len(shared))
 
-    def propagate(trail):
-        changed = True
-        while changed:
-            changed = False
-            for a, b, c, d in instances:
-                va, vb, vc, vd = values[a], values[b], values[c], values[d]
-                known = (
-                    (va is not None) + (vb is not None) + (vc is not None) + (vd is not None)
-                )
-                if known == 4:
-                    if mul[va][vb] != mul[vc][vd]:
-                        return False
-                elif known == 3:
-                    if va is None:
-                        if a in (b, c, d):
-                            continue
-                        values[a] = mul[mul[vc][vd]][inv[vb]]
-                        trail.append(a)
-                    elif vb is None:
-                        if b in (a, c, d):
-                            continue
-                        values[b] = mul[inv[va]][mul[vc][vd]]
-                        trail.append(b)
-                    elif vc is None:
-                        if c in (a, b, d):
-                            continue
-                        values[c] = mul[mul[va][vb]][inv[vd]]
-                        trail.append(c)
-                    else:
-                        if d in (a, b, c):
-                            continue
-                        values[d] = mul[inv[vc]][mul[va][vb]]
-                        trail.append(d)
-                    changed = True
-        return True
-
-    def search():
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceeded(f"cocycle search exceeded {node_budget} nodes")
-        target = next((i for i in branch_order if values[i] is None), None)
-        if target is None:
-            flat = [values[b] for b in blk]
-            table = [flat[x * n:(x + 1) * n] for x in range(n)]
-            results.append(ConstantCocycle(q, coeff, table))
-            return
-        for candidate in range(coeff.order):
-            trail = [target]
-            values[target] = candidate
-            if propagate(trail):
-                search()
-            for i in trail:
-                values[i] = None
-
-    if propagate([]):
-        search()
-    return results
+    left, right = coeff._division_rows()
+    found = solutions(coeff.table, relations, values, left=left, right=right,
+                      budget=node_budget, what="cocycle")
+    return [ConstantCocycle(q, coeff, [[a[v] for v in row] for row in rows]) for a in found]
 
 
 def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):

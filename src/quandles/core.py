@@ -25,15 +25,18 @@ from .perms import Perm, PermGroup, orbits, permutation_table
 
 
 def _validate_table(table):
+    if not isinstance(table, (list, tuple)):
+        raise ValueError("table is not a list of rows")
     n = len(table)
     if n == 0:
         raise ValueError("empty table")
     rows = []
     for row in table:
-        row = tuple(int(v) for v in row)
-        if len(row) != n or any(not 0 <= v < n for v in row):
+        # bool is an int subclass, but true and false are no table entries
+        if (not isinstance(row, (list, tuple)) or len(row) != n
+                or any(type(v) is not int or not 0 <= v < n for v in row)):
             raise ValueError(f"table is not a square array over 0..{n - 1}")
-        rows.append(row)
+        rows.append(tuple(row))
     t = tuple(rows)
     # left quasigroup: every row is a permutation
     for x in range(n):
@@ -227,10 +230,6 @@ def projection_quandle(n):
         raise ValueError("need n >= 1")
     row = tuple(range(n))
     return Quandle([row] * n, _checked=True)
-
-
-def trivial_quandle():
-    return projection_quandle(1)
 
 
 def conjugation_quandle(elements):

@@ -30,9 +30,11 @@ from .errors import (
     NotSurjective,
     NotUniform,
 )
+from .search import find, solutions, union
 
 CONGRUENCE_SIZE_CAP = 12
 EQUIVALENCE_SIZE_CAP = 12
+MAX_EQUIVALENCE_NODES = 10**6
 
 
 def _normalize_blocks(n, blocks):
@@ -105,27 +107,10 @@ def ker_left_section(quandle):
     return Congruence.from_blocks(quandle, list(groups.values()))
 
 
-def _find(parent, x):
-    """Union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent, x, y):
-    """Merge the classes of x and y under the lesser root; True if they differed."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx == ry:
-        return False
-    parent[max(rx, ry)] = min(rx, ry)
-    return True
-
-
 def _congruence_of(quandle, parent):
     groups = {}
     for x in range(quandle.size):
-        groups.setdefault(_find(parent, x), []).append(x)
+        groups.setdefault(find(parent, x), []).append(x)
     return Congruence.from_blocks(quandle, list(groups.values()))
 
 
@@ -134,17 +119,17 @@ def principal_congruence(quandle, a, b):
     q = quandle
     n = q.size
     parent = list(range(n))
-    _union(parent, a, b)
+    union(parent, a, b)
     changed = True
     while changed:
         changed = False
         for u in range(n):
             for v in range(u + 1, n):
-                if _find(parent, u) == _find(parent, v):
+                if find(parent, u) == find(parent, v):
                     for x in range(n):
-                        if _union(parent, q.op(x, u), q.op(x, v)):
+                        if union(parent, q.op(x, u), q.op(x, v)):
                             changed = True
-                        if _union(parent, q.op(u, x), q.op(v, x)):
+                        if union(parent, q.op(u, x), q.op(v, x)):
                             changed = True
     return _congruence_of(q, parent)
 
@@ -154,7 +139,7 @@ def _join(c1, c2):
     for cong in (c1, c2):
         for block in cong.blocks:
             for x in block[1:]:
-                _union(parent, block[0], x)
+                union(parent, block[0], x)
     # the join of congruences is transitive-closure of the union, which is
     # again compatible, so no re-closure is needed
     return _congruence_of(c1.quandle, parent)
@@ -494,9 +479,10 @@ def coverings_equivalent(first, second, size_cap=EQUIVALENCE_SIZE_CAP):
 
     Two extensions by constant cocycles over one coefficient group are
     equivalent iff the cocycles are cohomologous, decided by the gamma
-    propagation of ``are_cohomologous``; any other pair by a backtracking
-    search for a fiber-respecting isomorphism (first witness in
-    lexicographic image order), capped at ``size_cap`` total points.
+    propagation of ``are_cohomologous``. Any other pair, up to ``size_cap``
+    total points, by searching the fiber-respecting homomorphisms of the
+    totals for a bijective one, an isomorphism over the base, within
+    ``MAX_EQUIVALENCE_NODES`` nodes.
     """
     cov1, beta1 = _as_covering(first)
     cov2, beta2 = _as_covering(second)
@@ -509,34 +495,14 @@ def coverings_equivalent(first, second, size_cap=EQUIVALENCE_SIZE_CAP):
     n = cov1.total.size
     if n > size_cap:
         raise BudgetExceeded(f"equivalence search is capped at size {size_cap}")
-    t1, t2 = cov1.total.table, cov2.total.table
-    p1, p2 = cov1.projection, cov2.projection
-    images = [None] * n
-    used = [False] * n
-
-    def consistent(a):
-        for b in range(n):
-            if images[b] is None:
-                continue
-            ab = t1[a][b]
-            ba = t1[b][a]
-            if images[ab] is not None and t2[images[a]][images[b]] != images[ab]:
-                return False
-            if images[ba] is not None and t2[images[b]][images[a]] != images[ba]:
-                return False
-        return True
-
-    def search(a):
-        if a == n:
-            return True
-        for b in range(n):
-            if not used[b] and p2[b] == p1[a]:
-                images[a] = b
-                used[b] = True
-                if consistent(a) and search(a + 1):
-                    return True
-                images[a] = None
-                used[b] = False
-        return False
-
-    return search(0)
+    total2 = cov2.total
+    fibers = {}
+    for b, x in enumerate(cov2.projection):
+        fibers.setdefault(x, []).append(b)
+    t1 = cov1.total.table
+    relations = [(t1[a][b], a, b) for a in range(n) for b in range(n)]
+    left, right = total2._division_rows()
+    maps = solutions(total2.table, relations, [-1] * n, left=left, right=right,
+                     domains=[fibers.get(x, ()) for x in cov1.projection],
+                     budget=MAX_EQUIVALENCE_NODES, what="equivalence")
+    return any(len(set(images)) == n for images in maps)

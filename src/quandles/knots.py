@@ -12,11 +12,10 @@ is over \\ incoming. The invariant multiplies beta(incoming under color,
 over color)^sign over the under-passages in traversal order and records the
 conjugacy class of the product, one class per non-monochromatic coloring.
 
-Colorings are found by propagation: a color on two arcs of a crossing forces
-the third (by the table, by left division, or on a latin quandle by right
-division), and the search branches only on arcs nothing has forced, least
-arc first, so the list comes out in lexicographic order. The search counts
-one node per color tried at a branch and raises BudgetExceeded past
+Colorings come from :func:`quandles.search.solutions`: two colored arcs of a
+crossing force the third, the search branches on the least arc nothing has
+forced, and it counts one node per state entered (the root, and each color
+whose propagation succeeds), raising BudgetExceeded past
 ``MAX_COLORING_NODES``.
 """
 
@@ -25,7 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InconsistentSigns, InvalidCocycle, MalformedCode
+from .errors import InconsistentSigns, InvalidCocycle, MalformedCode
+from .search import solutions
 
 _TOKEN_RE = re.compile(r"^([OU])(\d+)([+-])$")
 
@@ -136,82 +136,17 @@ def colorings(diagram, quandle, *, mirror_convention=False):
 
     Each crossing is the relation top = mid * bot: (out, over, in) at a
     positive crossing and (in, over, out) at a negative one, or the other
-    way round under ``mirror_convention``. Assigning an arc visits the
-    relations through it: known mid and bot force top, known mid and top
-    force bot by left division, and on a latin quandle known top and bot
-    force mid by right division. A relation is checked whenever its last
-    arc gets a color, so every returned coloring satisfies every crossing.
-    The search branches on the least uncolored arc, colors ascending, which
-    keeps the output in the order of ``itertools.product``. Each color tried
-    at a branch is one node; more than ``MAX_COLORING_NODES`` raises
-    BudgetExceeded.
+    way round under ``mirror_convention``.
     """
-    table = quandle.table
-    left, right = quandle._division_rows()
-    n, a = quandle.size, diagram.arc_count
-    watch = [[] for _ in range(a)]
+    relations = []
     for cr in diagram.crossings:
         if (cr.sign > 0) != mirror_convention:
-            relation = (cr.out_arc, cr.over_arc, cr.in_arc)
+            relations.append((cr.out_arc, cr.over_arc, cr.in_arc))
         else:
-            relation = (cr.in_arc, cr.over_arc, cr.out_arc)
-        for arc in set(relation):
-            watch[arc].append(relation)
-    colors = [-1] * a
-    trail = []
-
-    def assign(arc, color):
-        """Color ``arc`` and everything it forces; False on a conflict."""
-        colors[arc] = color
-        trail.append(arc)
-        stack = [arc]
-        while stack:
-            for top, mid, bot in watch[stack.pop()]:
-                t, m, b = colors[top], colors[mid], colors[bot]
-                if m >= 0 and b >= 0:
-                    forced, value = top, table[m][b]
-                    if t == value:
-                        continue
-                    if t >= 0:
-                        return False
-                elif m >= 0 and t >= 0:
-                    forced, value = bot, left[m][t]
-                elif right is not None and t >= 0 and b >= 0:
-                    forced, value = mid, right[b][t]
-                else:
-                    continue
-                colors[forced] = value
-                trail.append(forced)
-                stack.append(forced)
-        return True
-
-    out = []
-    branches = []  # [arc, next color, trail length before the arc], innermost last
-    nodes = 0
-    arc = 0
-    while True:
-        while arc < a and colors[arc] >= 0:
-            arc += 1
-        if arc < a:
-            branches.append([arc, 0, len(trail)])
-        else:
-            out.append(tuple(colors))
-        while branches:
-            branch = branches[-1]
-            arc, color, mark = branch
-            while len(trail) > mark:
-                colors[trail.pop()] = -1
-            if color == n:
-                branches.pop()
-                continue
-            branch[1] = color + 1
-            nodes += 1
-            if nodes > MAX_COLORING_NODES:
-                raise BudgetExceeded(f"coloring search exceeded {MAX_COLORING_NODES} nodes")
-            if assign(arc, color):
-                break
-        else:
-            return out
+            relations.append((cr.in_arc, cr.over_arc, cr.out_arc))
+    left, right = quandle._division_rows()
+    return list(solutions(quandle.table, relations, [-1] * diagram.arc_count, left=left,
+                          right=right, budget=MAX_COLORING_NODES, what="coloring"))
 
 
 def col_count(diagram, quandle, *, mirror_convention=False):

@@ -136,15 +136,6 @@ class Perm:
         return cls(images)
 
 
-def compose(a, b):
-    """Pointwise composition a∘b (``a`` applied after ``b``)."""
-    return a * b
-
-
-def inverse(a):
-    return a.inverse()
-
-
 def closure(generators, cap=DEFAULT_CLOSURE_CAP):
     """The full element set of the group generated, by breadth-first multiplication.
 

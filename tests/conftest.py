@@ -523,3 +523,43 @@ def braid_closure_gauss(word, strands):
     if len(tokens) != 2 * len(word):
         return None
     return " ".join(tokens)
+
+
+def reference_coverings_equivalent(first, second):
+    """Equivalence of two coverings by backtracking over the points of the
+    first total in order, each sent to an unused point of the matching
+    fiber, with the operation checked on the pairs already mapped."""
+    if first.total.size != second.total.size:
+        return False
+    n = first.total.size
+    t1, t2 = first.total.table, second.total.table
+    p1, p2 = first.projection, second.projection
+    images = [None] * n
+    used = [False] * n
+
+    def consistent(a):
+        for b in range(n):
+            if images[b] is None:
+                continue
+            ab = t1[a][b]
+            ba = t1[b][a]
+            if images[ab] is not None and t2[images[a]][images[b]] != images[ab]:
+                return False
+            if images[ba] is not None and t2[images[b]][images[a]] != images[ba]:
+                return False
+        return True
+
+    def search(a):
+        if a == n:
+            return True
+        for b in range(n):
+            if not used[b] and p2[b] == p1[a]:
+                images[a] = b
+                used[b] = True
+                if consistent(a) and search(a + 1):
+                    return True
+                images[a] = None
+                used[b] = False
+        return False
+
+    return search(0)

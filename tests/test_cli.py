@@ -151,6 +151,11 @@ def test_h2c_not_latin(capsys, table_files):
 def test_h2c_budget(capsys, table_files):
     code, _, err = run(capsys, "h2c", table_files["q4"], "Z2", "--budget", "0")
     assert code == 3
+    # q4 over Sym(3) enters 5 search states: the least passing budget is 5
+    code, out, _ = run(capsys, "h2c", table_files["q4"], "Sym(3)", "--budget", "5")
+    assert code == 0 and "classes: 2" in out
+    code, out, err = run(capsys, "h2c", table_files["q4"], "Sym(3)", "--budget", "4")
+    assert code == 3 and out == "" and "budget exceeded" in err
     # coefficient groups above the order cap are refused before they are built
     for coeff in ("Sym(11)", "Z 100000 x Z 100000"):
         code, _, err = run(capsys, "h2c", table_files["r3"], coeff)

@@ -351,6 +351,7 @@ def test_pair_maps_require_latin():
 def test_h_and_k_are_inverse(small_affine_corpus):
     for _, quandle in small_affine_corpus:
         maps = PairMaps(quandle, 0)
+        assert "k" not in maps.images  # built on first use; the partitions never read it
         n = quandle.size
         for x in range(n):
             for y in range(n):
@@ -362,7 +363,7 @@ def test_pair_maps_are_bijections(small_affine_corpus):
     for _, quandle in small_affine_corpus:
         maps = PairMaps(quandle, 0)
         for which in "fgh":
-            maps.as_perm(which)  # Perm constructor validates bijectivity
+            q.Perm(maps.images[which])  # the constructor validates bijectivity
 
 
 def test_affine_h_is_translation(small_affine_corpus):
@@ -664,6 +665,10 @@ def test_cocycle_json_rejects_malformed_documents(q4):
     no_values = {k: v for k, v in doc.items() if k != "values"}
     cases = [[doc], None, no_values, {**doc, "values": 5}, {**doc, "values": ["0", "0"]},
              {**doc, "coeff": 2}, {"values": doc["values"]}]
+    # malformed embedded tables: not a list, a row not a list, a null entry,
+    # and entries that are no integers (once truncated to the 1-point quandle)
+    for table in (5, [5], [[None]], [[0.5]], [["0"]], [[True]]):
+        cases.append({**doc, "quandle": {"table": table}})
     for bad in cases:
         with pytest.raises(ValueError):
             cocycle_from_json(bad)

@@ -10,6 +10,7 @@ from conftest import (
     build_affine,
     corrupt,
     outcome,
+    reference_coverings_equivalent,
     reference_dynamical_witness,
     reference_validate_table,
 )
@@ -366,6 +367,42 @@ def test_coverings_equivalent_size_cap(q4):
         coverings_equivalent(e1.as_covering(), e2.as_covering())
 
 
+def relabeled(covering):
+    """The same covering with the total's points numbered backwards."""
+    n = covering.total.size
+    table = [[n - 1 - covering.total.op(n - 1 - a, n - 1 - b) for b in range(n)]
+             for a in range(n)]
+    return Covering(q.Quandle(table), covering.base, covering.projection[::-1])
+
+
+def test_coverings_equivalent_matches_reference(r3, q4):
+    """Every pair of coverings of r3, q4 and Q(Z_5, 2x) with at most 12 total
+    points: extensions by every normalized cocycle into Sym(k), as extensions
+    (the cohomology path when the groups agree), as coverings and relabeled
+    (the search), against the backtracking of the reference."""
+    for base in (r3, q4, build_affine("z5_l2")):
+        coverings = []
+        for k in range(2, 12 // base.size + 1):
+            for beta in normalized_cocycles(base, CoeffGroup.symmetric(k)):
+                ext = extend(base, beta)
+                coverings += [ext, ext.as_covering(), relabeled(ext.as_covering())]
+        plain = [c.as_covering() if isinstance(c, q.Extension) else c for c in coverings]
+        for first, plain_first in zip(coverings, plain):
+            for second, plain_second in zip(coverings, plain):
+                expected = reference_coverings_equivalent(plain_first, plain_second)
+                assert coverings_equivalent(first, second) == expected
+
+
+def test_coverings_equivalent_budget(monkeypatch, q4):
+    s2 = CoeffGroup.symmetric(2)
+    ext = extend(q4, ConstantCocycle(q4, s2, beta_a_table(q4, s2, 1 - s2.identity)))
+    trivial = extend(q4, q.trivial_cocycle(q4, s2))
+    assert not coverings_equivalent(ext.as_covering(), trivial.as_covering())
+    monkeypatch.setattr(cov, "MAX_EQUIVALENCE_NODES", 2)
+    with pytest.raises(BudgetExceeded):
+        coverings_equivalent(ext.as_covering(), trivial.as_covering())
+
+
 def test_principal_congruence_and_lattice(r3, q4):
     # dihedral of size 3 admits only the two bounds
     congs = all_congruences(r3)
@@ -423,7 +460,9 @@ def test_extension_json_rejects_malformed_documents(q4):
     doc = json.loads(json.dumps(q.extension_to_json(extend(q4, q.trivial_cocycle(q4, s2)))))
     no_fiber = {k: v for k, v in doc.items() if k != "fiber_size"}
     bad_rows = {**doc, "cocycle": {**doc["cocycle"], "values": [5, 6, 7, 8]}}
-    for bad in ([doc], "text", no_fiber, {"base": doc["base"]}, bad_rows):
+    bad_tables = [{**doc, "base": {"table": table}}
+                  for table in (5, [5], [[None]], [[0.5]], [["0"]], [[True]])]
+    for bad in ([doc], "text", no_fiber, {"base": doc["base"]}, bad_rows, *bad_tables):
         with pytest.raises(ValueError):
             q.extension_from_json(bad)
     with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ COLORING_QUANDLES = {
     "q4": build_affine("q4"),
     "z5_l2": build_affine("z5_l2"),
     "trivial3": q.projection_quandle(3),
-    "trivial1": q.trivial_quandle(),
+    "trivial1": q.projection_quandle(1),
     "transpositions": transposition_quandle(),
 }
 
@@ -141,7 +141,7 @@ def test_unknot_has_no_multicolor(r3):
 
 def test_trivial_quandle_never_multicolors():
     diagram = parse_gauss(GAUSS_CODES["trefoil_right"])
-    assert col_count(diagram, q.trivial_quandle()) == 0
+    assert col_count(diagram, q.projection_quandle(1)) == 0
 
 
 def test_figure_eight_counts():

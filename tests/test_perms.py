@@ -5,7 +5,7 @@ from itertools import permutations as iter_permutations
 
 from conftest import pair_perm, reference_is_doubly_transitive
 from quandles.errors import CapExceeded
-from quandles.perms import Perm, PermGroup, closure, compose, inverse, orbits
+from quandles.perms import Perm, PermGroup, closure, orbits
 
 perm8 = st.permutations(tuple(range(8))).map(Perm)
 perm6 = st.permutations(tuple(range(6))).map(Perm)
@@ -20,13 +20,13 @@ def apply_chain(ps, x):
 
 def test_compose_identity():
     p = Perm([2, 0, 1])
-    assert compose(Perm.identity(3), p) == p
-    assert compose(p, Perm.identity(3)) == p
+    assert Perm.identity(3) * p == p
+    assert p * Perm.identity(3) == p
 
 
 def test_compose_involution():
     swap = Perm.from_cycles(2, [(0, 1)])
-    assert compose(swap, swap) == Perm.identity(2)
+    assert swap * swap == Perm.identity(2)
 
 
 def test_compose_hand_oracle():
@@ -34,33 +34,33 @@ def test_compose_hand_oracle():
     b = Perm.from_cycles(3, [(0, 1)])
     expected = Perm(apply_chain([a, b], x) for x in range(3))
     assert expected == Perm([2, 1, 0])  # computed by hand: 0->1->2, 1->0->1, 2->2->0
-    assert compose(a, b) == expected
+    assert a * b == expected
 
 
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
-        compose(Perm.identity(2), Perm.identity(3))
+        Perm.identity(2) * Perm.identity(3)
 
 
 def test_inverse_examples():
-    assert inverse(Perm.identity(4)) == Perm.identity(4)
-    assert inverse(Perm.from_cycles(3, [(0, 1, 2)])) == Perm.from_cycles(3, [(0, 2, 1)])
+    assert Perm.identity(4).inverse() == Perm.identity(4)
+    assert Perm.from_cycles(3, [(0, 1, 2)]).inverse() == Perm.from_cycles(3, [(0, 2, 1)])
 
 
 @given(perm8)
 def test_inverse_roundtrip(p):
-    assert compose(p, inverse(p)) == Perm.identity(8)
-    assert compose(inverse(p), p) == Perm.identity(8)
+    assert p * p.inverse() == Perm.identity(8)
+    assert p.inverse() * p == Perm.identity(8)
 
 
 @given(perm6, perm6, perm6)
 def test_compose_associative(a, b, c):
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 @given(perm6, perm6)
 def test_compose_matches_pointwise_application(a, b):
-    assert compose(a, b).images == tuple(apply_chain([a, b], x) for x in range(6))
+    assert (a * b).images == tuple(apply_chain([a, b], x) for x in range(6))
 
 
 def test_closure_small():
