@@ -480,8 +480,8 @@ def coverings_equivalent(first, second, size_cap=EQUIVALENCE_SIZE_CAP):
     Two extensions by constant cocycles over one coefficient group are
     equivalent iff the cocycles are cohomologous, decided by the gamma
     propagation of ``are_cohomologous``. Any other pair, up to ``size_cap``
-    total points, by searching the fiber-respecting homomorphisms of the
-    totals for a bijective one, an isomorphism over the base, within
+    total points, by searching the fiber-respecting injective homomorphisms
+    of the totals for one, an isomorphism over the base, within
     ``MAX_EQUIVALENCE_NODES`` nodes.
     """
     cov1, beta1 = _as_covering(first)
@@ -503,6 +503,6 @@ def coverings_equivalent(first, second, size_cap=EQUIVALENCE_SIZE_CAP):
     relations = [(t1[a][b], a, b) for a in range(n) for b in range(n)]
     left, right = total2._division_rows()
     maps = solutions(total2.table, relations, [-1] * n, left=left, right=right,
-                     domains=[fibers.get(x, ()) for x in cov1.projection],
+                     domains=[fibers.get(x, ()) for x in cov1.projection], distinct=True,
                      budget=MAX_EQUIVALENCE_NODES, what="equivalence")
-    return any(len(set(images)) == n for images in maps)
+    return next(maps, None) is not None

@@ -27,7 +27,8 @@ def union(parent, x, y):
     return True
 
 
-def solutions(table, relations, values, *, left, right, domains=None, budget, what):
+def solutions(table, relations, values, *, left, right, domains=None, distinct=False,
+              budget, what):
     """Yield, as tuples, the completions of ``values`` (-1 marks a free
     variable) that lie in the domains and satisfy every relation
     (top, mid, bot): values[top] = table[values[mid]][values[bot]].
@@ -35,16 +36,18 @@ def solutions(table, relations, values, *, left, right, domains=None, budget, wh
     ``left[m][t]`` is the b with table[m][b] = t and ``right[b][t]`` the m
     with table[m][b] = t, or ``right`` is None where columns repeat values.
     ``domains[v]`` lists the values of variable v in the order to try; by
-    default every row of ``table``.
+    default every row of ``table``. With ``distinct`` no two variables
+    take one value.
 
     Assigning a variable visits the relations through it: known mid and bot
     force top or check it, known mid and top force bot, and known top and
-    bot force mid when ``right`` is given. A failed relation or a forced
-    value outside its domain is a conflict, undone through the trail. The
-    search branches on the least free variable, so the completions come out
-    in lexicographic order. One node is counted per state entered: the root,
-    once the given values have propagated, and each branch value whose
-    propagation succeeds. More than ``budget`` nodes raises BudgetExceeded.
+    bot force mid when ``right`` is given. A failed relation, a forced
+    value outside its domain or, with ``distinct``, a value already taken
+    is a conflict, undone through the trail. The search branches on the
+    least free variable, so the completions come out in lexicographic order.
+    One node is counted per state entered: the root, once the given values
+    have propagated, and each branch value whose propagation succeeds. More
+    than ``budget`` nodes raises BudgetExceeded.
     """
     values = list(values)
     nvars = len(values)
@@ -60,6 +63,13 @@ def solutions(table, relations, values, *, left, right, domains=None, budget, wh
     stack = [v for v in range(nvars) if values[v] >= 0]  # assigned, not yet propagated
     if allowed is not None and any(values[v] not in allowed[v] for v in stack):
         return
+    used = None
+    if distinct:
+        used = [False] * len(table)
+        for v in stack:
+            if used[values[v]]:
+                return
+            used[values[v]] = True
     trail = []
     branches = []  # (variable, its untried values, trail length before it)
     nodes = 0
@@ -82,6 +92,10 @@ def solutions(table, relations, values, *, left, right, domains=None, budget, wh
                     continue
                 if allowed is not None and value not in allowed[forced]:
                     break
+                if used is not None:
+                    if used[value]:
+                        break
+                    used[value] = True
                 values[forced] = value
                 trail.append(forced)
                 stack.append(forced)
@@ -100,13 +114,19 @@ def solutions(table, relations, values, *, left, right, domains=None, budget, wh
                 yield tuple(values)
         while branches:
             var, untried, mark = branches[-1]
+            if used is not None:
+                for v in trail[mark:]:
+                    used[values[v]] = False
             while len(trail) > mark:
                 values[trail.pop()] = -1
-            for value in untried:  # its next value, if any
-                break
+            for value in untried:  # its next value not taken, if any
+                if used is None or not used[value]:
+                    break
             else:
                 branches.pop()
                 continue
+            if used is not None:
+                used[value] = True
             values[var] = value
             trail.append(var)
             stack = [var]

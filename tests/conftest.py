@@ -528,7 +528,8 @@ def braid_closure_gauss(word, strands):
 def reference_coverings_equivalent(first, second):
     """Equivalence of two coverings by backtracking over the points of the
     first total in order, each sent to an unused point of the matching
-    fiber, with the operation checked on the pairs already mapped."""
+    fiber, with the operation checked on the pairs already mapped and on
+    every pair once all points are mapped."""
     if first.total.size != second.total.size:
         return False
     n = first.total.size
@@ -550,8 +551,9 @@ def reference_coverings_equivalent(first, second):
         return True
 
     def search(a):
-        if a == n:
-            return True
+        if a == n:  # the checks above may miss a pair; check them all
+            return all(t2[images[x]][images[y]] == images[t1[x][y]]
+                       for x in range(n) for y in range(n))
         for b in range(n):
             if not used[b] and p2[b] == p1[a]:
                 images[a] = b

@@ -393,6 +393,47 @@ def test_coverings_equivalent_matches_reference(r3, q4):
                 assert coverings_equivalent(first, second) == expected
 
 
+def projection_cocycles(coeff):
+    """The constant cocycles of the 2-point projection quandle into coeff,
+    by a brute force over the two entries off the diagonal."""
+    base, e = q.projection_quandle(2), coeff.identity
+    tables = ([[e, g], [h, e]] for g in range(coeff.order) for h in range(coeff.order))
+    return [ConstantCocycle(base, coeff, t) for t in tables
+            if cocycle_witness(base, coeff, t) is None]
+
+
+def test_coverings_equivalent_disconnected_base():
+    """Over a disconnected base nothing ties the fibers together: the search
+    must not try the maps that repeat a point."""
+    p2 = q.projection_quandle(2)
+    s6 = CoeffGroup.symmetric(6)
+    trivial = extend(p2, q.trivial_cocycle(p2, s6)).as_covering()
+    assert coverings_equivalent(trivial, trivial)
+    assert coverings_equivalent(trivial, relabeled(trivial))
+    e = s6.identity
+    twisted = ConstantCocycle(p2, s6, [[e, (e + 1) % s6.order], [e, e]])
+    assert not coverings_equivalent(trivial, extend(p2, twisted).as_covering())
+    points = Covering(q.projection_quandle(9), q.projection_quandle(1), (0,) * 9)
+    assert coverings_equivalent(points, points)
+
+
+def test_coverings_equivalent_matches_reference_disconnected_base():
+    """Every pair of coverings of the 2-point projection quandle by a
+    constant cocycle into Sym(2) or Sym(3), plain and relabeled."""
+    coverings = []
+    for k in (2, 3):
+        for beta in projection_cocycles(CoeffGroup.symmetric(k)):
+            plain = extend(beta.quandle, beta).as_covering()
+            coverings += [plain, relabeled(plain)]
+    equivalent = 0
+    for first in coverings:
+        for second in coverings:
+            expected = reference_coverings_equivalent(first, second)
+            assert coverings_equivalent(first, second) == expected
+            equivalent += expected
+    assert 0 < equivalent < len(coverings) ** 2
+
+
 def test_coverings_equivalent_budget(monkeypatch, q4):
     s2 = CoeffGroup.symmetric(2)
     ext = extend(q4, ConstantCocycle(q4, s2, beta_a_table(q4, s2, 1 - s2.identity)))

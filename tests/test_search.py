@@ -14,41 +14,39 @@ from quandles.errors import BudgetExceeded
 from quandles.search import find, solutions, union
 
 
-def quandle_case(quandle):
-    left, right = quandle._division_rows()
-    return quandle.table, left, right
-
-
-def group_case(group):
-    left, right = group._division_rows()
-    return group.table, left, right
+def case(obj):
+    """The table and division rows of a quandle or a CoeffGroup."""
+    left, right = obj._division_rows()
+    return obj.table, left, right
 
 
 # latin and non-latin quandles (right division None), and group tables
 CASES = {
-    "r3": quandle_case(build_affine("r3")),
-    "q4": quandle_case(build_affine("q4")),
-    "transpositions4": quandle_case(transposition_quandle(4)),
-    "projection3": quandle_case(q.projection_quandle(3)),
-    "Sym3": group_case(CoeffGroup.symmetric(3)),
-    "Z4": group_case(CoeffGroup.abelian((4,))),
+    "r3": case(build_affine("r3")),
+    "q4": case(build_affine("q4")),
+    "transpositions4": case(transposition_quandle(4)),
+    "projection3": case(q.projection_quandle(3)),
+    "Sym3": case(CoeffGroup.symmetric(3)),
+    "Z4": case(CoeffGroup.abelian((4,))),
 }
 
 
-def brute_force(table, relations, values, domains):
+def brute_force(table, relations, values, domains, distinct):
     """Every tuple of the product of the domains, in product order, that
-    agrees with the given values and meets every relation."""
+    agrees with the given values, meets every relation and, if asked,
+    repeats no value."""
     return [
         point
         for point in product(*domains)
         if all(v < 0 or v == p for v, p in zip(values, point))
         and all(point[top] == table[point[mid]][point[bot]] for top, mid, bot in relations)
+        and (not distinct or len(set(point)) == len(point))
     ]
 
 
-def run(table, left, right, relations, values, domains, budget):
+def run(table, left, right, relations, values, domains, distinct, budget):
     return list(solutions(table, relations, values, left=left, right=right,
-                          domains=domains, budget=budget, what="test"))
+                          domains=domains, distinct=distinct, budget=budget, what="test"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -66,12 +64,14 @@ def test_solutions_match_brute_force(name, data):
     ]
     values = data.draw(st.lists(st.one_of(st.just(-1), st.integers(0, size - 1)),
                                 min_size=nvars, max_size=nvars), label="given")
-    expected = brute_force(table, relations, values, domains)
+    distinct = data.draw(st.booleans(), label="distinct")
+    expected = brute_force(table, relations, values, domains, distinct)
 
     # the least passing budget, by bisection; every completion is a state
     def passes(budget):
         try:
-            return run(table, left, right, relations, values, domains, budget) == expected
+            return run(table, left, right, relations, values, domains, distinct,
+                       budget) == expected
         except BudgetExceeded:
             return False
 
@@ -85,15 +85,16 @@ def test_solutions_match_brute_force(name, data):
     free = [len(domain) for domain, v in zip(domains, values) if v < 0]
     bound = 1 + sum(math.prod(free[:k + 1]) for k in range(len(free)))
     assert len(expected) <= high <= bound
-    if not relations and all(v < 0 or v in d for v, d in zip(values, domains)):
+    if not relations and not distinct and all(v < 0 or v in d for v, d in zip(values, domains)):
         assert high == bound
     if high:
         with pytest.raises(BudgetExceeded):
-            run(table, left, right, relations, values, domains, high - 1)
+            run(table, left, right, relations, values, domains, distinct, high - 1)
     # the default domain is every row of the table
     full = [range(size)] * nvars
-    assert list(solutions(table, relations, values, left=left, right=right, budget=10**6,
-                          what="test")) == brute_force(table, relations, values, full)
+    assert list(solutions(table, relations, values, left=left, right=right, distinct=distinct,
+                          budget=10**6, what="test")) == brute_force(table, relations, values,
+                                                                     full, distinct)
 
 
 def test_union_find_merges_under_least_root():
