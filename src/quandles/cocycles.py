@@ -111,7 +111,8 @@ class CoeffGroup:
     @classmethod
     def from_cayley(cls, table, labels=None):
         """An explicit, validated Cayley table; elements keep their given order."""
-        _check_order(len(table), f"cayley({len(table)})")
+        if isinstance(table, (list, tuple)):  # anything else is refused by the validator
+            _check_order(len(table), f"cayley({len(table)})")
         table, identity, inverses = _validate_group_table(table)
         n = len(table)
         if labels is None:

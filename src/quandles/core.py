@@ -9,10 +9,10 @@ projection, conjugation, coset and affine quandles.
 from __future__ import annotations
 
 import os
-from itertools import permutations
 
 from .abelian import AbHom, FinAbGroup
 from .errors import (
+    BudgetExceeded,
     NotAutomorphism,
     NotClosedUnderConjugation,
     NotIdempotent,
@@ -22,22 +22,34 @@ from .errors import (
     SubgroupNotFixed,
 )
 from .perms import Perm, PermGroup, orbits, permutation_table
+from .search import solutions
+
+ISOMORPHISM_SIZE_CAP = 12
+MAX_ISOMORPHISM_NODES = 10**6
+
+
+def _is_index_list(values, n):
+    """True iff every entry is an int in 0..n-1; bool is an int subclass,
+    but true and false are no entries."""
+    return all(type(v) is int and 0 <= v < n for v in values)
+
+
+def _square_rows(table, what):
+    """The rows of a nonempty n x n list of rows over 0..n-1, as tuples."""
+    if not isinstance(table, (list, tuple)):
+        raise ValueError(f"{what} is not a list of rows")
+    n = len(table)
+    if n == 0:
+        raise ValueError(f"empty {what}")
+    if not all(isinstance(row, (list, tuple)) and len(row) == n and _is_index_list(row, n)
+               for row in table):
+        raise ValueError(f"{what} is not a square array over 0..{n - 1}")
+    return tuple(map(tuple, table))
 
 
 def _validate_table(table):
-    if not isinstance(table, (list, tuple)):
-        raise ValueError("table is not a list of rows")
-    n = len(table)
-    if n == 0:
-        raise ValueError("empty table")
-    rows = []
-    for row in table:
-        # bool is an int subclass, but true and false are no table entries
-        if (not isinstance(row, (list, tuple)) or len(row) != n
-                or any(type(v) is not int or not 0 <= v < n for v in row)):
-            raise ValueError(f"table is not a square array over 0..{n - 1}")
-        rows.append(tuple(row))
-    t = tuple(rows)
+    t = _square_rows(table, "table")
+    n = len(t)
     # left quasigroup: every row is a permutation
     for x in range(n):
         positions = {}
@@ -301,10 +313,8 @@ def affine_is_connected(group, alpha):
 
 
 def _validate_group_table(table):
-    n = len(table)
-    t = [tuple(int(v) for v in row) for row in table]
-    if any(len(r) != n or any(not 0 <= v < n for v in r) for r in t):
-        raise ValueError("group table is not square over 0..n-1")
+    t = _square_rows(table, "group table")
+    n = len(t)
     identity = None
     for e in range(n):
         if all(t[e][x] == x and t[x][e] == x for x in range(n)):
@@ -325,7 +335,7 @@ def _validate_group_table(table):
             for c in range(n):
                 if t[t[a][b]][c] != t[a][t[b][c]]:
                     raise ValueError(f"group table is not associative at {(a, b, c)}")
-    return tuple(t), identity, tuple(inverses)
+    return t, identity, tuple(inverses)
 
 
 class CosetQuandle(Quandle):
@@ -336,12 +346,14 @@ class CosetQuandle(Quandle):
     def __init__(self, group_table, subgroup, automorphism):
         t, identity, inverses = _validate_group_table(group_table)
         n = len(t)
-        sub = tuple(sorted(set(int(x) for x in subgroup)))
+        sub, auto = tuple(subgroup), tuple(automorphism)
+        if not _is_index_list(sub + auto, n):
+            raise ValueError(f"subgroup and automorphism must list elements 0..{n - 1}")
+        sub = tuple(sorted(set(sub)))
         if identity not in sub or any(
             t[a][b] not in sub or inverses[a] not in sub for a in sub for b in sub
         ):
             raise ValueError("subgroup is not closed")
-        auto = tuple(int(v) for v in automorphism)
         if sorted(auto) != list(range(n)) or any(
             auto[t[a][b]] != t[auto[a]][auto[b]] for a in range(n) for b in range(n)
         ):
@@ -388,7 +400,7 @@ def coset_quandle(group, subgroup, automorphism):
     if isinstance(group, PermGroup):
         elems, table = permutation_table(p.images for p in group.elements())
         index = {p: i for i, p in enumerate(elems)}
-        sub = [index[p.images] if isinstance(p, Perm) else int(p) for p in subgroup]
+        sub = [index[p.images] if isinstance(p, Perm) else p for p in subgroup]
         if automorphism and isinstance(next(iter(automorphism)), Perm):
             auto = [index[p.images] for p in automorphism]
         else:
@@ -397,22 +409,31 @@ def coset_quandle(group, subgroup, automorphism):
     return CosetQuandle(group, subgroup, automorphism)
 
 
-def are_isomorphic(q1, q2, max_size=8):
-    """Brute-force isomorphism test over all bijections; usable for n <= max_size."""
-    if q1.size != q2.size:
+def _isomorphic(first, second, domains):
+    """Whether the shared search finds a bijection f from ``first`` onto
+    ``second`` with f(x*y) = f(x)*f(y) and, where given, f(x) in domains[x].
+
+    It is capped at ``ISOMORPHISM_SIZE_CAP`` points and
+    ``MAX_ISOMORPHISM_NODES`` nodes. A node is an injective sequence of
+    branch values, so inputs of at most 9 points stay within the budget.
+    """
+    n = first.size
+    if second.size != n:
         return False
-    n = q1.size
-    if n > max_size:
-        raise ValueError(f"isomorphism search is capped at size {max_size}")
-    t1, t2 = q1.table, q2.table
-    for images in permutations(range(n)):
-        if all(
-            images[t1[x][y]] == t2[images[x]][images[y]]
-            for x in range(n)
-            for y in range(n)
-        ):
-            return True
-    return False
+    if n > ISOMORPHISM_SIZE_CAP:
+        raise BudgetExceeded(f"isomorphism search is capped at size {ISOMORPHISM_SIZE_CAP}")
+    t1 = first.table
+    relations = [(t1[a][b], a, b) for a in range(n) for b in range(n)]
+    left, right = second._division_rows()
+    maps = solutions(second.table, relations, [-1] * n, left=left, right=right,
+                     domains=domains, distinct=True, budget=MAX_ISOMORPHISM_NODES,
+                     what="isomorphism")
+    return next(maps, None) is not None
+
+
+def are_isomorphic(q1, q2):
+    """Whether the quandles are isomorphic, by the shared search."""
+    return _isomorphic(q1, q2, None)
 
 
 def quandle_to_text(q):

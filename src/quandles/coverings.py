@@ -2,9 +2,14 @@
 
 An extension glues a fiber S onto each point of a base quandle X via a
 dynamical cocycle beta, with (x, s)*(y, t) = (x*y, beta(x, y, s)(t)). When
-beta does not depend on s it is a constant cocycle into Sym(S) and the
-canonical projection is a covering: equal projections force equal left
-translations.
+beta does not depend on s it is a constant cocycle into Sym(S), whose total
+is built from its permutations directly, and the canonical projection is a
+covering: equal projections force equal left translations.
+
+Congruences are worklist closures over the union-find of
+:mod:`quandles.search`. Coverings are compared by cohomology when both are
+extensions by constant cocycles into one group, and otherwise by the
+isomorphism search of :mod:`quandles.core` with the fibers as domains.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .cocycles import (
     cocycle_witness,
     document_field,
 )
-from .core import Quandle
+from .core import Quandle, _isomorphic
 from .errors import (
     BudgetExceeded,
     InvalidCocycle,
@@ -30,11 +35,9 @@ from .errors import (
     NotSurjective,
     NotUniform,
 )
-from .search import find, solutions, union
+from .search import find, union
 
 CONGRUENCE_SIZE_CAP = 12
-EQUIVALENCE_SIZE_CAP = 12
-MAX_EQUIVALENCE_NODES = 10**6
 
 
 def _normalize_blocks(n, blocks):
@@ -69,9 +72,6 @@ class Congruence:
             for x in block:
                 table[x] = i
         return table
-
-    def block_of(self, x):
-        return self.block_index[x]
 
     def _compatibility_witness(self):
         q = self.quandle
@@ -111,27 +111,27 @@ def _congruence_of(quandle, parent):
     groups = {}
     for x in range(quandle.size):
         groups.setdefault(find(parent, x), []).append(x)
-    return Congruence.from_blocks(quandle, list(groups.values()))
+    return Congruence.from_blocks(quandle, list(groups.values()), check=False)
 
 
 def principal_congruence(quandle, a, b):
-    """The least congruence identifying a and b, by merge-and-close."""
-    q = quandle
-    n = q.size
-    parent = list(range(n))
-    union(parent, a, b)
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            for v in range(u + 1, n):
-                if find(parent, u) == find(parent, v):
-                    for x in range(n):
-                        if union(parent, q.op(x, u), q.op(x, v)):
-                            changed = True
-                        if union(parent, q.op(u, x), q.op(v, x)):
-                            changed = True
-    return _congruence_of(q, parent)
+    """The least congruence identifying a and b, by a worklist closure.
+
+    Each merge of the classes of u and v queues the pairs (x*u, x*v) and
+    (u*x, v*x). The merged pairs span every class, so once the worklist is
+    empty the partition is compatible, and it is the least one: each queued
+    pair is forced by a pair identified before it.
+    """
+    t = quandle.table
+    parent = list(range(len(t)))
+    work = [(a, b)]
+    while work:
+        u, v = work.pop()
+        if union(parent, u, v):
+            for tx, ux, vx in zip(t, t[u], t[v]):
+                work.append((tx[u], tx[v]))
+                work.append((ux, vx))
+    return _congruence_of(quandle, parent)
 
 
 def _join(c1, c2):
@@ -140,33 +140,29 @@ def _join(c1, c2):
         for block in cong.blocks:
             for x in block[1:]:
                 union(parent, block[0], x)
-    # the join of congruences is transitive-closure of the union, which is
-    # again compatible, so no re-closure is needed
+    # the join of two congruences is the transitive closure of their union:
+    # a chain of pairs, each compatible in c1 or c2, so it is compatible
     return _congruence_of(c1.quandle, parent)
 
 
-def all_congruences(quandle, cap=CONGRUENCE_SIZE_CAP):
-    """Every congruence, as the join closure of the principal congruences."""
-    if quandle.size > cap:
-        raise BudgetExceeded(f"congruence enumeration is capped at size {cap}")
+def all_congruences(quandle):
+    """Every congruence, the join of the principal congruences of its pairs,
+    by the join closure of the principal congruences from the identity."""
     n = quandle.size
-    identity = Congruence.from_blocks(quandle, [[x] for x in range(n)], check=False)
-    principals = []
-    seen = {identity.blocks}
+    if n > CONGRUENCE_SIZE_CAP:
+        raise BudgetExceeded(f"congruence enumeration is capped at size {CONGRUENCE_SIZE_CAP}")
+    principals = {}
     for a in range(n):
         for b in range(a + 1, n):
             cong = principal_congruence(quandle, a, b)
-            if cong.blocks not in seen:
-                seen.add(cong.blocks)
-                principals.append(cong)
+            principals.setdefault(cong.blocks, cong)
+    identity = _congruence_of(quandle, list(range(n)))
     found = {identity.blocks: identity}
-    for cong in principals:
-        found[cong.blocks] = cong
-    frontier = list(principals)
+    frontier = [identity]
     while frontier:
         new = []
         for cong in frontier:
-            for base in principals:
+            for base in principals.values():
                 joined = _join(cong, base)
                 if joined.blocks not in found:
                     found[joined.blocks] = joined
@@ -197,9 +193,6 @@ class DynamicalCocycle:
         self.base_size = base_size
         self.fiber_size = fiber_size
         self.values = values
-
-    def apply(self, x, y, s, t):
-        return self.values[x][y][s][t]
 
     def is_constant(self):
         return all(
@@ -278,15 +271,14 @@ class Covering:
 
 @dataclass(frozen=True)
 class Extension:
-    """The quandle on X x S built from a dynamical cocycle over X.
+    """The quandle on X x S built from the given constant or dynamical cocycle.
 
     Points are indexed (x, s) -> x * fiber_size + s.
     """
 
     base: Quandle
     fiber_size: int
-    cocycle: DynamicalCocycle
-    constant: object
+    cocycle: object
     total: Quandle
     projection: tuple
 
@@ -312,37 +304,34 @@ def extend(quandle, cocycle):
     makes the total a quandle with the fibers as a uniform congruence, so
     neither is re-proved.
     """
-    if isinstance(cocycle, ConstantCocycle):
-        constant, dyn = cocycle, lift_constant(cocycle)
-    elif isinstance(cocycle, DynamicalCocycle):
-        constant, dyn = None, cocycle
-    else:
+    if not isinstance(cocycle, (ConstantCocycle, DynamicalCocycle)):
         raise TypeError("cocycle must be a ConstantCocycle or DynamicalCocycle")
-    if dyn.base_size != quandle.size:
+    if len(cocycle.values) != quandle.size:
         raise ValueError("cocycle base size does not match the quandle")
-    if constant is None:
-        witness = dynamical_witness(quandle, dyn.fiber_size, dyn.values)
+    if isinstance(cocycle, ConstantCocycle):
+        coeff = cocycle.coeff
+        m = coeff.points  # ValueError unless the coefficients are a symmetric group
+        witness = cocycle_witness(quandle, coeff, cocycle.values)
+        table = []
+        for tx, bx in zip(quandle.table, cocycle.values):
+            row = [xy * m + v for xy, b in zip(tx, bx) for v in coeff.perm_images(b)]
+            table += [row] * m  # (x, s)*(y, t) = (x*y, beta(x, y)(t)) for every s
     else:
-        witness = cocycle_witness(quandle, constant.coeff, constant.values)
+        m = cocycle.fiber_size
+        witness = dynamical_witness(quandle, m, cocycle.values)
+        table = [
+            [xy * m + v for xy, vxy in zip(tx, vx) for v in vxy[s]]
+            for tx, vx in zip(quandle.table, cocycle.values)
+            for s in range(m)
+        ]
     if witness is not None:
         raise InvalidCocycle(f"invalid cocycle: {witness}", witness)
-    n = quandle.size
-    m = dyn.fiber_size
-    table = []
-    for tx, vx in zip(quandle.table, dyn.values):
-        for s in range(m):
-            row = []
-            for xy, vxy in zip(tx, vx):
-                base = xy * m
-                row.extend(base + v for v in vxy[s])
-            table.append(row)
     return Extension(
         base=quandle,
         fiber_size=m,
-        cocycle=dyn,
-        constant=constant,
+        cocycle=cocycle,
         total=Quandle(table, _checked=True),
-        projection=tuple(i // m for i in range(n * m)),
+        projection=tuple(i // m for i in range(len(table))),
     )
 
 
@@ -411,7 +400,7 @@ def quotient(quandle, congruence):
 def extension_to_json(extension, base_ref=None):
     """JSON form of a constant-cocycle extension: base reference, fiber
     size, and the cocycle document."""
-    if extension.constant is None:
+    if not isinstance(extension.cocycle, ConstantCocycle):
         raise ValueError("only constant-cocycle extensions serialize")
     if base_ref is None:
         base_ref = {
@@ -421,7 +410,7 @@ def extension_to_json(extension, base_ref=None):
     return {
         "base": base_ref,
         "fiber_size": extension.fiber_size,
-        "cocycle": cocycle_to_json(extension.constant, quandle_ref=base_ref),
+        "cocycle": cocycle_to_json(extension.cocycle, quandle_ref=base_ref),
     }
 
 
@@ -468,21 +457,20 @@ def is_covering(total, base, projection, *, require_connected=False):
 
 def _as_covering(obj):
     if isinstance(obj, Extension):
-        return obj.as_covering(), obj.constant
+        return obj.as_covering(), obj.cocycle
     if isinstance(obj, Covering):
         return obj, None
     raise TypeError("expected an Extension or Covering")
 
 
-def coverings_equivalent(first, second, size_cap=EQUIVALENCE_SIZE_CAP):
+def coverings_equivalent(first, second):
     """Equivalence of two coverings of one base: an isomorphism over the base.
 
     Two extensions by constant cocycles over one coefficient group are
     equivalent iff the cocycles are cohomologous, decided by the gamma
-    propagation of ``are_cohomologous``. Any other pair, up to ``size_cap``
-    total points, by searching the fiber-respecting injective homomorphisms
-    of the totals for one, an isomorphism over the base, within
-    ``MAX_EQUIVALENCE_NODES`` nodes.
+    propagation of ``are_cohomologous``. Any other pair by the isomorphism
+    search of the totals that sends each point into the fiber of the second
+    total over its image, under that search's size cap and node budget.
     """
     cov1, beta1 = _as_covering(first)
     cov2, beta2 = _as_covering(second)
@@ -490,19 +478,10 @@ def coverings_equivalent(first, second, size_cap=EQUIVALENCE_SIZE_CAP):
         raise ValueError("coverings have different bases")
     if cov1.total.size != cov2.total.size:
         return False
-    if beta1 is not None and beta2 is not None and beta1.coeff == beta2.coeff:
+    constant = isinstance(beta1, ConstantCocycle) and isinstance(beta2, ConstantCocycle)
+    if constant and beta1.coeff == beta2.coeff:
         return are_cohomologous(beta1, beta2)
-    n = cov1.total.size
-    if n > size_cap:
-        raise BudgetExceeded(f"equivalence search is capped at size {size_cap}")
-    total2 = cov2.total
     fibers = {}
     for b, x in enumerate(cov2.projection):
         fibers.setdefault(x, []).append(b)
-    t1 = cov1.total.table
-    relations = [(t1[a][b], a, b) for a in range(n) for b in range(n)]
-    left, right = total2._division_rows()
-    maps = solutions(total2.table, relations, [-1] * n, left=left, right=right,
-                     domains=[fibers.get(x, ()) for x in cov1.projection], distinct=True,
-                     budget=MAX_EQUIVALENCE_NODES, what="equivalence")
-    return next(maps, None) is not None
+    return _isomorphic(cov1.total, cov2.total, [fibers.get(x, ()) for x in cov1.projection])

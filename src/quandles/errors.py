@@ -5,12 +5,8 @@ class QuandleError(Exception):
     """Base class for all toolkit errors."""
 
 
-class CapExceeded(QuandleError):
-    """An exhaustive enumeration (such as a permutation group closure) hit its cap."""
-
-
 class BudgetExceeded(QuandleError):
-    """A search exceeded its configured budget."""
+    """A search or enumeration exceeded its budget, size cap or element cap."""
 
 
 class AxiomError(QuandleError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import CapExceeded
+from .errors import BudgetExceeded
 
 DEFAULT_CLOSURE_CAP = 10**6
 
@@ -139,7 +139,7 @@ class Perm:
 def closure(generators, cap=DEFAULT_CLOSURE_CAP):
     """The full element set of the group generated, by breadth-first multiplication.
 
-    Raises :class:`CapExceeded` once more than ``cap`` elements appear, which
+    Raises :class:`BudgetExceeded` once more than ``cap`` elements appear, which
     certifies that the generated group is larger than ``cap``.
     """
     generators = list(generators)
@@ -159,7 +159,7 @@ def closure(generators, cap=DEFAULT_CLOSURE_CAP):
                 if prod not in elements:
                     elements.add(prod)
                     if len(elements) > cap:
-                        raise CapExceeded(f"group has more than {cap} elements")
+                        raise BudgetExceeded(f"group has more than {cap} elements")
                     new.append(prod)
         frontier = new
     return frozenset(elements)

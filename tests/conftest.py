@@ -1,7 +1,7 @@
 """Shared corpus of desk-scale quandles and coefficient groups."""
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -565,3 +565,54 @@ def reference_coverings_equivalent(first, second):
         return False
 
     return search(0)
+
+
+def set_partitions(n):
+    """Every partition of range(n), blocks ascending and ordered by least point."""
+    blocks = []
+
+    def grow(x):
+        if x == n:
+            yield tuple(map(tuple, blocks))
+            return
+        for block in blocks:
+            block.append(x)
+            yield from grow(x + 1)
+            block.pop()
+        blocks.append([x])
+        yield from grow(x + 1)
+        blocks.pop()
+
+    return grow(0)
+
+
+def reference_congruences(quandle):
+    """The block tuples of every congruence of a quandle of at most 8 points:
+    each set partition on which the block of x*y is a function of the blocks
+    of x and y."""
+    n = quandle.size
+    assert n <= 8, "Bell(8) = 4140 partitions at most"
+    t = quandle.table
+    out = set()
+    for blocks in set_partitions(n):
+        block = [0] * n
+        for i, members in enumerate(blocks):
+            for x in members:
+                block[x] = i
+        product = {}
+        if all(product.setdefault((block[x], block[y]), block[t[x][y]]) == block[t[x][y]]
+               for x in range(n) for y in range(n)):
+            out.add(blocks)
+    return out
+
+
+def reference_are_isomorphic(q1, q2):
+    """Isomorphism by a brute force over every bijection of the points."""
+    if q1.size != q2.size:
+        return False
+    n = q1.size
+    t1, t2 = q1.table, q2.table
+    return any(
+        all(images[t1[x][y]] == t2[images[x]][images[y]] for x in range(n) for y in range(n))
+        for images in permutations(range(n))
+    )

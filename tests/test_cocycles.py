@@ -146,6 +146,10 @@ def test_cayley_coeff_group():
         CoeffGroup.from_cayley([[0, 1], [0, 1]])  # no identity
     with pytest.raises(ValueError):
         CoeffGroup.from_cayley(NONASSOCIATIVE_LOOP)
+    # entries are ints, never truncated floats or bools, in rows of a list
+    for table in ([[0.0, 1.9], [True, 0]], 5, [[0, 1], 5]):
+        with pytest.raises(ValueError):
+            CoeffGroup.from_cayley(table)
 
 
 def test_parse_coeff_descriptor():

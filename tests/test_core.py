@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, reject, settings
@@ -13,12 +14,14 @@ from conftest import (
     endomorphism,
     outcome,
     primitive_affine,
+    reference_are_isomorphic,
     reference_is_doubly_transitive,
     reference_validate_table,
     transposition_quandle,
 )
 from quandles.core import _validate_table
 from quandles.errors import (
+    BudgetExceeded,
     NotAutomorphism,
     NotClosedUnderConjugation,
     NotIdempotent,
@@ -157,6 +160,19 @@ def test_coset_quandle_subgroup_not_fixed():
     axis = [(0, 0), (0, 1), (0, 2)]
     with pytest.raises(SubgroupNotFixed):
         q.coset_quandle(g, axis, swap)
+
+
+def test_coset_quandle_refuses_non_integer_entries():
+    z2 = [[0, 1], [1, 0]]
+    for table, subgroup, automorphism in (
+        (z2, [0.7], [0, 1.2]),
+        (z2, [0.7], [0, 1]),
+        (z2, [0], [0, 1.2]),
+        (z2, [True], [0, 1]),
+        ([[0.0, 1.0], [1.0, 0.0]], [0], [0, 1]),
+    ):
+        with pytest.raises(ValueError):
+            q.coset_quandle(table, subgroup, automorphism)
 
 
 def test_coset_quandle_from_perm_group():
@@ -334,12 +350,42 @@ def test_lmlt_generators_give_the_group_of_all_rows(small_affine_corpus):
         assert closure(quandle.lmlt().generators) == closure(quandle.left_section), name
 
 
-def test_isomorphism_brute_force(r3):
+def relabel(quandle, seed):
+    """The quandle with its points renamed by a seeded shuffle."""
+    n = quandle.size
+    name = list(range(n))
+    random.Random(seed).shuffle(name)
+    table = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[name[x]][name[y]] = name[quandle.op(x, y)]
+    return q.Quandle(table)
+
+
+def test_are_isomorphic_examples(r3):
     relabeled = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
     assert q.are_isomorphic(q.Quandle(relabeled), r3)
     assert not q.are_isomorphic(r3, q.projection_quandle(3))
-    with pytest.raises(ValueError):
-        q.are_isomorphic(q.projection_quandle(9), q.projection_quandle(9))
+    # 9! bijections stay within the node budget; 13 points pass the size cap
+    assert q.are_isomorphic(q.projection_quandle(9), q.projection_quandle(9))
+    with pytest.raises(BudgetExceeded):
+        q.are_isomorphic(q.projection_quandle(13), q.projection_quandle(13))
+
+
+def test_are_isomorphic_matches_reference(small_affine_corpus):
+    """Every same-size pair among the corpus quandles of at most 7 points
+    and their relabelings, against the brute force over all bijections."""
+    quandles = [quandle for _, quandle in small_affine_corpus if quandle.size <= 7]
+    quandles += [relabel(quandle, seed) for seed, quandle in enumerate(quandles)]
+    isomorphic = 0
+    for first in quandles:
+        for second in quandles:
+            if first.size == second.size:
+                expected = reference_are_isomorphic(first, second)
+                assert q.are_isomorphic(first, second) == expected
+                isomorphic += expected
+    assert len(quandles) < isomorphic < sum(
+        first.size == second.size for first in quandles for second in quandles)
 
 
 def test_text_roundtrip(tmp_path, q4):

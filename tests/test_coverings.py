@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +12,18 @@ from conftest import (
     build_affine,
     corrupt,
     outcome,
+    reference_congruences,
     reference_coverings_equivalent,
     reference_dynamical_witness,
     reference_validate_table,
 )
-from quandles.cocycles import CoeffGroup, ConstantCocycle, cocycle_witness, normalized_cocycles
+from quandles.cocycles import (
+    CoeffGroup,
+    ConstantCocycle,
+    _twist,
+    cocycle_witness,
+    normalized_cocycles,
+)
 from quandles.coverings import (
     Congruence,
     Covering,
@@ -26,6 +35,7 @@ from quandles.coverings import (
     is_covering,
     ker_left_section,
     lift_constant,
+    principal_congruence,
     quotient,
 )
 from quandles.errors import (
@@ -136,6 +146,18 @@ def test_extend_checks_constant_cocycles_like_their_lift(small_affine_corpus, da
     else:
         with pytest.raises(InvalidCocycle):
             extend(quandle, beta)
+
+
+def test_constant_total_matches_its_lift(small_affine_corpus):
+    """extend builds a constant total from the permutations, the same table
+    as the lift into Sym(S) gives; the twist by gamma brings in 3-cycles."""
+    s3 = CoeffGroup.symmetric(3)
+    for name, quandle in small_affine_corpus:
+        gamma = [x % s3.order for x in range(quandle.size)]
+        for beta in normalized_cocycles(quandle, s3, 0):
+            twisted = ConstantCocycle(quandle, s3, _twist(beta, gamma))
+            lifted = extend(quandle, lift_constant(twisted)).total
+            assert extend(quandle, twisted).total == lifted, name
 
 
 def test_extend_checks_against_the_given_quandle():
@@ -393,13 +415,19 @@ def test_coverings_equivalent_matches_reference(r3, q4):
                 assert coverings_equivalent(first, second) == expected
 
 
-def projection_cocycles(coeff):
-    """The constant cocycles of the 2-point projection quandle into coeff,
-    by a brute force over the two entries off the diagonal."""
-    base, e = q.projection_quandle(2), coeff.identity
-    tables = ([[e, g], [h, e]] for g in range(coeff.order) for h in range(coeff.order))
-    return [ConstantCocycle(base, coeff, t) for t in tables
-            if cocycle_witness(base, coeff, t) is None]
+def projection_cocycles(points, coeff):
+    """The constant cocycles of the projection quandle on ``points`` points
+    into coeff, by a brute force over the entries off the diagonal."""
+    base, e = q.projection_quandle(points), coeff.identity
+    off_diagonal = [(x, y) for x in range(points) for y in range(points) if x != y]
+    cocycles = []
+    for entries in product(range(coeff.order), repeat=len(off_diagonal)):
+        table = [[e] * points for _ in range(points)]
+        for (x, y), g in zip(off_diagonal, entries):
+            table[x][y] = g
+        if cocycle_witness(base, coeff, table) is None:
+            cocycles.append(ConstantCocycle(base, coeff, table))
+    return cocycles
 
 
 def test_coverings_equivalent_disconnected_base():
@@ -422,7 +450,7 @@ def test_coverings_equivalent_matches_reference_disconnected_base():
     constant cocycle into Sym(2) or Sym(3), plain and relabeled."""
     coverings = []
     for k in (2, 3):
-        for beta in projection_cocycles(CoeffGroup.symmetric(k)):
+        for beta in projection_cocycles(2, CoeffGroup.symmetric(k)):
             plain = extend(beta.quandle, beta).as_covering()
             coverings += [plain, relabeled(plain)]
     equivalent = 0
@@ -439,7 +467,7 @@ def test_coverings_equivalent_budget(monkeypatch, q4):
     ext = extend(q4, ConstantCocycle(q4, s2, beta_a_table(q4, s2, 1 - s2.identity)))
     trivial = extend(q4, q.trivial_cocycle(q4, s2))
     assert not coverings_equivalent(ext.as_covering(), trivial.as_covering())
-    monkeypatch.setattr(cov, "MAX_EQUIVALENCE_NODES", 2)
+    monkeypatch.setattr(core, "MAX_ISOMORPHISM_NODES", 2)
     with pytest.raises(BudgetExceeded):
         coverings_equivalent(ext.as_covering(), trivial.as_covering())
 
@@ -463,6 +491,42 @@ def test_congruence_lattice_of_nine_element_affine():
     assert sizes == [1, 3, 9]
     for cong in congs:
         assert cong.is_uniform
+
+
+def small_totals(r3, q4):
+    """The totals of at most 8 points of the extensions of r3, q4, P_2 and
+    P_3 by every normalized (on r3 and q4) or every (on P_2 and P_3)
+    constant cocycle into Sym(2) or Sym(3)."""
+    totals = []
+    for k in (2, 3):
+        coeff = CoeffGroup.symmetric(k)
+        for base in (r3, q4):
+            if base.size * k <= 8:
+                totals += [extend(base, beta).total for beta in normalized_cocycles(base, coeff)]
+        for points in (2, 3):
+            if points * k <= 8:
+                totals += [extend(beta.quandle, beta).total
+                           for beta in projection_cocycles(points, coeff)]
+    return totals
+
+
+def test_congruences_match_reference(small_affine_corpus, r3, q4):
+    """all_congruences is every compatible set partition, and each principal
+    congruence is the least compatible partition joining its pair."""
+    quandles = [quandle for _, quandle in small_affine_corpus] + small_totals(r3, q4)
+    for quandle in quandles:
+        expected = reference_congruences(quandle)
+        assert [c.blocks for c in all_congruences(quandle)] == sorted(
+            expected, key=lambda blocks: (len(blocks[0]), blocks))
+        for a in range(quandle.size):
+            for b in range(a + 1, quandle.size):
+                joining = [blocks for blocks in expected
+                           if any(a in block and b in block for block in blocks)]
+                least = max(joining, key=len)
+                # the least one refines every other
+                assert all(all(any(set(small) <= set(big) for big in blocks) for small in least)
+                           for blocks in joining)
+                assert principal_congruence(quandle, a, b).blocks == least
 
 
 def test_congruence_cap():
@@ -491,7 +555,7 @@ def test_extension_json_roundtrip(q4):
     assert loaded.total.table == ext.total.table
     assert loaded.projection == ext.projection
     loaded2 = q.extension_from_json(doc, base=q4)
-    assert loaded2.constant == beta
+    assert loaded2.cocycle == beta
 
 
 def test_extension_json_rejects_malformed_documents(q4):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from itertools import permutations as iter_permutations
 
 from conftest import pair_perm, reference_is_doubly_transitive
-from quandles.errors import CapExceeded
+from quandles.errors import BudgetExceeded
 from quandles.perms import Perm, PermGroup, closure, orbits
 
 perm8 = st.permutations(tuple(range(8))).map(Perm)
@@ -76,7 +76,7 @@ def test_closure_sym3():
 
 def test_closure_cap():
     ten_cycle = Perm.from_cycles(10, [tuple(range(10))])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded):
         closure([ten_cycle], cap=5)
 
 
