@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .abelian import FinAbGroup
-from .core import AffineQuandle, Quandle, _validate_group_table
+from .core import AffineQuandle, Quandle, _is_index_list, _validate_group_table
 from .errors import BudgetExceeded, InvalidCocycle, NotLatin
 from .perms import orbits, permutation_table
 from .search import find, solutions, union
@@ -282,12 +282,12 @@ class ConstantCocycle:
     __slots__ = ("quandle", "coeff", "values")
 
     def __init__(self, quandle, coeff, values, *, check=True):
-        values = tuple(tuple(int(v) for v in row) for row in values)
+        values = tuple(map(tuple, values))
         n = quandle.size
         if len(values) != n or any(len(r) != n for r in values):
             raise ValueError(f"values must be {n}x{n}")
-        if any(not 0 <= v < coeff.order for row in values for v in row):
-            raise ValueError("values contain an out-of-range element index")
+        if not all(_is_index_list(row, coeff.order) for row in values):
+            raise ValueError(f"values must be element indices 0..{coeff.order - 1}")
         if check:
             witness = cocycle_witness(quandle, coeff, values)
             if witness is not None:

@@ -84,11 +84,10 @@ class Quandle:
 
     def __init__(self, table, *, _checked=False):
         self.table = tuple(tuple(row) for row in table) if _checked else _validate_table(table)
-        self._left_section = None
-        self._left_inv = None
-        self._latin = None
-        self._col_inv = None
-        self._lmlt = None
+        self._clear_caches()
+
+    def _clear_caches(self):
+        self._left_section = self._left_inv = self._latin = self._col_inv = self._lmlt = None
 
     @property
     def size(self):
@@ -272,19 +271,50 @@ def conjugation_quandle(elements):
 
 class AffineQuandle(Quandle):
     """Affine quandle over a finite abelian group: x*y = x + alpha(y - x); the
-    axioms hold by construction once alpha is an automorphism."""
+    axioms hold by construction once alpha is an automorphism.
+
+    The table is built on its first read, so whatever needs only
+    ``(group, alpha)``, such as pi1 and the size, never builds it.
+    """
 
     __slots__ = ("group", "alpha")
 
     def __init__(self, group, alpha):
         _require_automorphism(group, alpha)
-        elems = group.elements()
-        shift = [group.index_of(x) for x in map(AbHom.identity(group) - alpha, elems)]
-        twist = [group.index_of(y) for y in map(alpha, elems)]
-        add = group.cayley_table()
-        super().__init__([tuple(map(add[c].__getitem__, twist)) for c in shift], _checked=True)
         self.group = group
         self.alpha = alpha
+        self._clear_caches()
+
+    @property
+    def size(self):
+        return self.group.order
+
+    def __getattr__(self, name):
+        # Python calls this only for a slot that is unset: the table, until
+        # its first read stores it, after which reads are plain slot reads
+        if name != "table":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        add = self.group.cayley_table()
+        shift = _index_images(AbHom.identity(self.group) - self.alpha, add)
+        twist = _index_images(self.alpha, add)
+        self.table = tuple(tuple(map(add[c].__getitem__, twist)) for c in shift)
+        return self.table
+
+
+def _index_images(hom, add):
+    """The index of hom(x) for every element index x of an endomorphism's
+    group, by linearity from the images of the basis. In mixed radix
+    (a, h) in Z_d x H has index a*|H| + h and image a*hom(e) + hom(h); every
+    sum is read off the addition table ``add``."""
+    group = hom.source
+    images = [0]  # the index of zero, the image of the trivial group
+    for d, e in zip(reversed(group.moduli), reversed(group.basis())):
+        step = add[group.index_of(hom(e))]
+        multiples = [0]
+        for _ in range(d - 1):
+            multiples.append(step[multiples[-1]])
+        images = [w for c in multiples for w in map(add[c].__getitem__, images)]
+    return images
 
 
 def _require_automorphism(group, alpha):

@@ -25,7 +25,7 @@ from .cocycles import (
     cocycle_witness,
     document_field,
 )
-from .core import Quandle, _isomorphic
+from .core import Quandle, _is_index_list, _isomorphic
 from .errors import (
     BudgetExceeded,
     InvalidCocycle,
@@ -177,12 +177,7 @@ class DynamicalCocycle:
     __slots__ = ("base_size", "fiber_size", "values")
 
     def __init__(self, base_size, fiber_size, values):
-        values = tuple(
-            tuple(
-                tuple(tuple(int(v) for v in perm) for perm in cell) for cell in row
-            )
-            for row in values
-        )
+        values = tuple(tuple(tuple(map(tuple, cell)) for cell in row) for row in values)
         if len(values) != base_size or any(
             len(row) != base_size
             or any(len(cell) != fiber_size for cell in row)
@@ -190,6 +185,9 @@ class DynamicalCocycle:
             for row in values
         ):
             raise ValueError("values must be base x base x fiber x fiber")
+        if not all(_is_index_list(perm, fiber_size) for row in values for cell in row
+                   for perm in cell):
+            raise ValueError(f"values must be fiber points 0..{fiber_size - 1}")
         self.base_size = base_size
         self.fiber_size = fiber_size
         self.values = values
@@ -434,10 +432,8 @@ def is_covering(total, base, projection, *, require_connected=False):
     total quandle is only enforced on request, since the canonical coset and
     trivial-extension examples have disconnected totals.
     """
-    projection = tuple(int(v) for v in projection)
-    if len(projection) != total.size or any(
-        not 0 <= v < base.size for v in projection
-    ):
+    projection = tuple(projection)
+    if len(projection) != total.size or not _is_index_list(projection, base.size):
         raise ValueError("projection must map total points to base points")
     if set(projection) != set(range(base.size)):
         raise NotSurjective("projection misses base points")

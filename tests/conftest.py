@@ -136,6 +136,12 @@ def least_coset_reps(group, subgroup_elements):
     return rep
 
 
+def refuse_table(group):
+    """Stands in for ``FinAbGroup.cayley_table``, which every affine quandle
+    table is built from, in tests that must build none."""
+    raise AssertionError(f"the addition table of {group.descriptor()} was built")
+
+
 def build_affine(name):
     for entry_name, moduli, matrix in AFFINE_CORPUS_DEFS:
         if entry_name == name:

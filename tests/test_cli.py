@@ -12,7 +12,7 @@ from quandles.cli import main
 from quandles.cocycles import CoeffGroup, ConstantCocycle, cocycle_to_json
 from quandles.knots import GAUSS_CODES
 from quandles.pi1 import MAX_PI1_RANK
-from conftest import beta_a_table, transposition_quandle
+from conftest import beta_a_table, refuse_table, transposition_quandle
 
 
 @pytest.fixture
@@ -199,6 +199,23 @@ def test_pi1_needs_no_table(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert "pi1: trivial" in out
+
+
+def test_pi1_command_builds_no_table(capsys, monkeypatch):
+    cases = [
+        (["pi1", "Z 2 x Z 2", "[[1,1],[1,0]]"], 0, "pi1: Z 2\n"),
+        (["pi1", "Z 3 x Z 3", "[[2,0],[0,2]]"], 0, "pi1: Z 3\n"),
+        (["pi1", "Z 4 x Z 4", "[[0,3],[1,3]]"], 0, "pi1: Z 4\n"),
+        (["pi1", "Z 49", "[[5]]"], 0, "pi1: trivial\n"),
+        (["--json", "pi1", "Z 2 x Z 2", "[[1,1],[1,0]]"], 0, '"quandle_size": 4'),
+        (["pi1", "Z 4", "[[3]]"], 1, "not connected"),
+    ]
+    for argv, code, text in cases:
+        expected = run(capsys, *argv)
+        assert expected[0] == code and text in expected[1] + expected[2], argv
+        with monkeypatch.context() as patch:
+            patch.setattr(q.FinAbGroup, "cayley_table", refuse_table)
+            assert run(capsys, *argv) == expected, argv
 
 
 def test_pi1_rank_limit(capsys):

@@ -185,6 +185,13 @@ def test_cq_witness(q4):
         ConstantCocycle(q4, z2, values)
 
 
+@pytest.mark.parametrize("entry", [0.9, True, 1.0])
+def test_cocycle_entries_must_be_indices(r3, entry):
+    # [[0.9] * 3] * 3 was truncated to the trivial cocycle
+    with pytest.raises(ValueError, match="element indices"):
+        ConstantCocycle(r3, CoeffGroup.symmetric(2), [[entry] * 3] * 3)
+
+
 def test_cc_witness_is_a_real_violation(r3):
     s2 = CoeffGroup.symmetric(2)
     values = [[s2.identity] * 3 for _ in range(3)]

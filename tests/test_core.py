@@ -17,6 +17,7 @@ from conftest import (
     reference_are_isomorphic,
     reference_is_doubly_transitive,
     reference_validate_table,
+    refuse_table,
     transposition_quandle,
 )
 from quandles.core import _validate_table
@@ -207,10 +208,10 @@ def test_structure_flags(r3, q4):
     assert (q4.size - 1) % q4.semiregular_length() == 0
 
 
-def check_affine_construction(group, alpha):
+def check_affine_construction(quandle):
     """The axioms, the formula x + alpha(y - x) and connectivity, re-proved
     on the table that AffineQuandle builds without validating it."""
-    quandle = q.AffineQuandle(group, alpha)
+    group, alpha = quandle.group, quandle.alpha
     assert _validate_table(quandle.table) == quandle.table
     elems = group.elements()
     for x, xe in enumerate(elems):
@@ -223,7 +224,23 @@ def check_affine_construction(group, alpha):
 def test_affine_construction_on_corpus():
     for _, moduli, matrix in AFFINE_CORPUS_DEFS:
         group = q.FinAbGroup(moduli)
-        check_affine_construction(group, q.AbHom(group, group, matrix))
+        check_affine_construction(q.AffineQuandle(group, q.AbHom(group, group, matrix)))
+
+
+def test_affine_table_is_built_on_first_read(monkeypatch):
+    # construction, the size and pi1 need no table; the table read afterwards
+    # is the one check_affine_construction proves, and it is built once
+    for _, moduli, matrix in AFFINE_CORPUS_DEFS:
+        group = q.FinAbGroup(moduli)
+        with monkeypatch.context() as patch:
+            patch.setattr(q.FinAbGroup, "cayley_table", refuse_table)
+            quandle = q.AffineQuandle(group, q.AbHom(group, group, matrix))
+            assert quandle.size == group.order
+            q.pi1_affine(quandle)
+            with pytest.raises(AttributeError):
+                quandle.no_such_attribute
+        check_affine_construction(quandle)
+        assert quandle.table is quandle.table
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,7 +257,7 @@ def test_affine_construction_on_random_groups(moduli, data):
             break
     else:
         reject()
-    check_affine_construction(group, alpha)
+    check_affine_construction(q.AffineQuandle(group, alpha))
 
 
 def test_affine_is_connected():

@@ -312,6 +312,20 @@ def test_is_covering_coset_instance():
         is_covering(total, base, mapping, require_connected=True)
 
 
+@pytest.mark.parametrize("projection", [[0.5, 1.2, 2.9], [False, True, 2], [0, 1, 3]])
+def test_is_covering_needs_point_indices(r3, projection):
+    # [0.5, 1.2, 2.9] was truncated to the identity and reported a covering
+    with pytest.raises(ValueError, match="projection must map"):
+        is_covering(r3, r3, projection)
+
+
+@pytest.mark.parametrize("cell", [[(0.2, 1.7), (True, 0)], [(0, 1), (1, 2)]])
+def test_dynamical_cocycle_entries_must_be_fiber_points(cell):
+    # [(0.2, 1.7), (True, 0)] was truncated to the identity and a swap
+    with pytest.raises(ValueError, match="fiber points"):
+        DynamicalCocycle(1, 2, [[cell]])
+
+
 def test_is_covering_rejects_non_homomorphism(r3):
     ext = direct_product_with_projection(r3, 2)
     bad = [0, 0, 1, 1, 2, 2]

@@ -4,7 +4,14 @@ from itertools import product
 import pytest
 
 import quandles as q
-from conftest import automorphism_order, companion, enumerate_subgroup, least_coset_reps
+from conftest import (
+    AFFINE_CORPUS_DEFS,
+    automorphism_order,
+    companion,
+    enumerate_subgroup,
+    least_coset_reps,
+    refuse_table,
+)
 from quandles.errors import BudgetExceeded, NotConnected
 from quandles.pi1 import (
     MAX_PI1_RANK,
@@ -31,6 +38,29 @@ def test_cyclic_connected_always_trivial():
         quandle = q.affine_quandle(group, q.AbHom.scaling(group, n))
         assert q.pi1_affine(quandle) == ()
         assert q.is_simply_connected_affine(quandle)
+
+
+# pi1 of the corpus entries that are not simply connected
+CORPUS_PI1 = {"q4": (2,), "z3sq_neg": (3,), "z4sq": (4,)}
+
+
+def test_pi1_builds_no_table(monkeypatch):
+    monkeypatch.setattr(q.FinAbGroup, "cayley_table", refuse_table)
+    count = 0
+    for m in range(1, 51):
+        group = q.FinAbGroup.cyclic(m)
+        for n in range(m):
+            if math.gcd(m, n) == 1 and math.gcd(m, 1 - n) == 1:
+                quandle = q.affine_quandle(group, q.AbHom.scaling(group, n))
+                assert quandle.size == m
+                assert q.pi1_affine(quandle) == (), (m, n)
+                assert q.is_simply_connected_affine(quandle)
+                count += 1
+    assert count == 413
+    for name, moduli, matrix in AFFINE_CORPUS_DEFS:
+        quandle = q.affine_quandle(q.FinAbGroup(moduli), matrix)
+        assert quandle.size == math.prod(moduli)
+        assert q.pi1_affine(quandle) == CORPUS_PI1.get(name, ()), name
 
 
 @pytest.mark.parametrize(
