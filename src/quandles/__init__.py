@@ -32,12 +32,10 @@ from .cocycles import (
     full_partition,
     h2c,
     h2c_is_trivial,
-    induced_g_action,
     normalize,
     normalized_cocycles,
     parse_coeff_descriptor,
     trivial_cocycle,
-    weak_cocycle_check,
 )
 from .core import (
     AffineQuandle,
@@ -50,7 +48,6 @@ from .core import (
     coset_quandle,
     dihedral_quandle,
     from_table,
-    load_quandle_dir,
     load_quandle_file,
     projection_quandle,
     quandle_from_text,
@@ -69,7 +66,6 @@ from .coverings import (
     extension_to_json,
     is_covering,
     ker_left_section,
-    lift_constant,
     principal_congruence,
     quotient,
 )
@@ -85,11 +81,7 @@ from .knots import (
 )
 from .perms import Perm, PermGroup, closure, orbits
 from .pi1 import (
-    EnvelopeElement,
     Pi1Presentation,
-    envelope_identity,
-    envelope_inverse,
-    envelope_mul,
     is_simply_connected_affine,
     pi1_affine,
     pi1_presentation,

@@ -35,9 +35,10 @@ class FinAbGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        moduli = tuple(int(d) for d in self.moduli)
-        if any(d < 1 for d in moduli):
-            raise ValueError(f"moduli must be >= 1: {moduli!r}")
+        moduli = tuple(self.moduli)
+        # bool is an int subclass, but true and false are no moduli
+        if not all(type(d) is int and d >= 1 for d in moduli):
+            raise ValueError(f"moduli must be integers >= 1: {moduli!r}")
         object.__setattr__(self, "moduli", moduli)
 
     @classmethod
@@ -107,13 +108,6 @@ class FinAbGroup:
             idx = idx * d + a
         return idx
 
-    def element_at(self, idx):
-        coords = []
-        for d in reversed(self.moduli):
-            coords.append(idx % d)
-            idx //= d
-        return tuple(reversed(coords))
-
     def cayley_table(self):
         """The addition table over element indices, as a tuple of rows.
 
@@ -168,15 +162,18 @@ class AbHom:
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix):
-        rows = [tuple(int(v) % d for v in row) for row, d in zip(matrix, target.moduli)]
-        if len(rows) != target.rank or any(len(r) != source.rank for r in rows):
+        if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
             raise ValueError(
                 f"matrix must be {target.rank}x{source.rank} for "
                 f"{source.descriptor()} -> {target.descriptor()}"
             )
+        if not all(type(v) is int for row in matrix for v in row):
+            raise ValueError(f"matrix entries must be integers: {matrix!r}")
         self.source = source
         self.target = target
-        self.matrix = tuple(rows)
+        self.matrix = tuple(
+            tuple(v % d for v in row) for row, d in zip(matrix, target.moduli)
+        )
         for j, d in enumerate(source.moduli):
             column = tuple(self.matrix[i][j] for i in range(target.rank))
             column_order = target.order_of(column)
@@ -252,26 +249,12 @@ class AbHom:
             return False
         return subgroup_generated(self.target, zip(*self.matrix)).order == self.target.order
 
-    def inverse(self):
-        """The inverse automorphism, read off the graph {(alpha(x), x)} as a
-        lattice in G x G: alpha is onto, so the first k pivots are 1 and the
-        least element of (e_i, 0) + graph is (0, -alpha^-1(e_i))."""
-        if not self.is_automorphism():
-            raise ValueError("only automorphisms can be inverted")
-        g, k = self.source, self.source.rank
-        basis = g.basis()
-        graph = subgroup_generated(
-            FinAbGroup(g.moduli * 2), [col + e for col, e in zip(zip(*self.matrix), basis)]
-        )
-        cols = [g.neg(graph.coset_rep(e + g.zero)[k:]) for e in basis]
-        return AbHom(g, g, [[cols[j][i] for j in range(k)] for i in range(k)])
-
     def pow(self, n):
-        """n-fold composition; negative n only for automorphisms."""
+        """n-fold composition, for n >= 0."""
         if self.source != self.target:
             raise ValueError("powers need an endomorphism")
         if n < 0:
-            return self.inverse().pow(-n)
+            raise ValueError(f"powers need an exponent >= 0, got {n}")
         result = AbHom.identity(self.source)
         base = self
         while n:
@@ -295,19 +278,6 @@ class AbHom:
 
     def __repr__(self):
         return f"AbHom({self.source.descriptor()} -> {self.target.descriptor()}, {self.matrix})"
-
-    def to_json(self):
-        return {
-            "source": self.source.descriptor(),
-            "target": self.target.descriptor(),
-            "matrix": [list(r) for r in self.matrix],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        source = FinAbGroup.from_descriptor(data["source"])
-        target = FinAbGroup.from_descriptor(data["target"])
-        return cls(source, target, data["matrix"])
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,9 @@ def main(argv=None):
     except QuandleError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    # the JSON parser raises RecursionError on nesting past the interpreter's
+    # limit, which is malformed input like any other
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .abelian import FinAbGroup
-from .core import AffineQuandle, Quandle, _is_index_list, _validate_group_table
+from .core import Quandle, _is_index_list, _validate_group_table
 from .errors import BudgetExceeded, InvalidCocycle, NotLatin
 from .perms import orbits, permutation_table
 from .search import find, solutions, union
@@ -142,21 +142,6 @@ class CoeffGroup:
     def conj(self, s, a):
         """s a s^-1."""
         return self.table[self.table[s][a]][self.inverses[s]]
-
-    def element_order(self, a):
-        n = 1
-        cur = a
-        while cur != self.identity:
-            cur = self.mul(cur, a)
-            n += 1
-        return n
-
-    def is_abelian(self):
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in range(self.order)
-            for b in range(self.order)
-        )
 
     def _division_rows(self):
         """Rows solving ab = c: left[a][c] = a^-1 c and right[b][c] = c b^-1."""
@@ -327,20 +312,6 @@ def trivial_cocycle(quandle, coeff):
     return ConstantCocycle(quandle, coeff, [[e] * n for _ in range(n)], check=False)
 
 
-def weak_cocycle_check(beta):
-    """The weaker condition: beta(xy, xz) = beta(x, yz) iff beta(x, z) = beta(y, z)."""
-    t, v = beta.quandle.table, beta.values
-    n = len(t)
-    for x in range(n):
-        tx, vx = t[x], v[x]
-        for y in range(n):
-            ty, vy, lr = t[y], v[y], v[tx[y]]
-            for z in range(n):
-                if (lr[tx[z]] == vx[ty[z]]) != (vx[z] == vy[z]):
-                    return False
-    return True
-
-
 def conjugate_cocycle(beta, sigma):
     """The cocycle beta^sigma(x, y) = sigma beta(x, y) sigma^-1.
 
@@ -466,11 +437,8 @@ class PairMaps:
         g: (x, y) -> (u*x, u*y)
         h: (x, y) -> ((y/(x\u))*x, y)
 
-    k is the inverse of h: k(x, y) = (u/((x*y/u)\y), y).
-
     Each map is built once, from the table rows and the division caches, as
-    the image tuple ``images[w]`` over the pair ids p = x*n + y; k only when
-    it is first asked for, since the orbit partitions read f, g and h.
+    the image tuple ``images[w]`` over the pair ids p = x*n + y.
     """
 
     __slots__ = ("quandle", "u", "images")
@@ -507,19 +475,9 @@ class PairMaps:
     def h(self, pair):
         return self._apply("h", pair)
 
-    def k(self, pair):
-        if "k" not in self.images:
-            q, u = self.quandle, self.u
-            t, n = q.table, q.size
-            left_inv, cols = q._division_rows()
-            self.images["k"] = tuple(
-                cols[left_inv[cols[u][t[x][y]]][y]][u] * n + y for x in range(n) for y in range(n)
-            )
-        return self._apply("k", pair)
-
     def get(self, which):
         """The map named ``which`` as a function on pairs."""
-        if which not in ("f", "g", "h", "k"):
+        if which not in ("f", "g", "h"):
             raise ValueError(f"unknown map {which!r}")
         return getattr(self, which)
 
@@ -542,13 +500,6 @@ class OrbitPartition:
     uu_block: int | None = None
     f_family: frozenset | None = None
     u_family: frozenset | None = None
-
-    def block_of(self, pair):
-        x, y = pair
-        n = math.isqrt(len(self.index))
-        if not (0 <= x < n and 0 <= y < n):
-            raise KeyError(pair)
-        return self.index[x * n + y]
 
     def sizes(self):
         return tuple(len(b) for b in self.blocks)
@@ -579,81 +530,19 @@ def full_partition(quandle, u, gens="fgh"):
     return OrbitPartition(u, gens, blocks, index, **families)
 
 
-def induced_g_action(quandle, u, which):
-    """The action of f or h on the g-orbits, as a block-index map.
-
-    Each image set is asserted to be exactly one g-block.
-    """
-    if which not in ("f", "h"):
-        raise ValueError("induced action is defined for 'f' and 'h'")
-    part = full_partition(quandle, u, "g")
-    images = PairMaps(quandle, u).images[which]
-    index, n = part.index, quandle.size
-    out = []
-    for i, block in enumerate(part.blocks):
-        targets = {index[images[x * n + y]] for x, y in block}
-        target = targets.pop()
-        # images is injective, so one target block of equal size is the whole block
-        if targets or len(part.blocks[target]) != len(block):
-            raise AssertionError(
-                f"{which} does not map g-orbit {i} onto a single g-orbit"
-            )
-        out.append(target)
-    return part, tuple(out)
-
-
 def f_orbit_length(quandle, u, x, y):
-    """|O_f(x, y)| by direct iteration, cross-checked against closed forms.
-
-    The alternating-translation recursion for iterates of f must give the
-    same length; on affine quandles with u = 0 the alternating power-sum
-    formula must as well.
-    """
-    q = quandle
-    f = PairMaps(q, u).images["f"]
-    n = q.size
+    """|O_f(x, y)|, by iterating f from (x, y) until it returns."""
+    f = PairMaps(quandle, u).images["f"]
+    n = quandle.size
+    # a negative pair id would never come back: f's images are 0..n^2-1
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError(f"pair {(x, y)} out of range")
     start = x * n + y
     length = 1
     cur = f[start]
     while cur != start:
         length += 1
-        if length > n * n:
-            raise AssertionError("f-orbit failed to close")
         cur = f[cur]
-
-    yu = q.right_divide(y, u)
-    phi = q.left_section[x] * q.left_section[yu]
-    # the first coordinate of f^k(x, y) is phi^(k/2)(x) for even k and
-    # phi^((k+1)/2)(y/u) for odd k
-    points = [x, yu]
-    recursion_length = None
-    for k in range(1, n * n + 1):
-        points[k % 2] = phi(points[k % 2])
-        if points[k % 2] == x:
-            recursion_length = k
-            break
-    if recursion_length != length:
-        raise AssertionError(
-            f"translation recursion gives {recursion_length}, iteration {length}"
-        )
-
-    if isinstance(q, AffineQuandle) and u == 0:
-        group, alpha = q.group, q.alpha
-        elems = group.elements()
-        z = group.sub(elems[x], elems[q.right_divide(y, 0)])
-        total = group.zero
-        term = z
-        formula_length = None
-        for j in range(1, n * n + 1):
-            term = alpha(term)
-            total = group.add(total, term if j % 2 == 0 else group.neg(term))
-            if total == group.zero:
-                formula_length = j
-                break
-        if formula_length != length:
-            raise AssertionError(
-                f"alternating power sum gives {formula_length}, iteration {length}"
-            )
     return length
 
 

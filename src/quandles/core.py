@@ -8,8 +8,6 @@ projection, conjugation, coset and affine quandles.
 
 from __future__ import annotations
 
-import os
-
 from .abelian import AbHom, FinAbGroup
 from .errors import (
     BudgetExceeded,
@@ -431,10 +429,10 @@ def coset_quandle(group, subgroup, automorphism):
         elems, table = permutation_table(p.images for p in group.elements())
         index = {p: i for i, p in enumerate(elems)}
         sub = [index[p.images] if isinstance(p, Perm) else p for p in subgroup]
-        if automorphism and isinstance(next(iter(automorphism)), Perm):
-            auto = [index[p.images] for p in automorphism]
-        else:
-            auto = list(automorphism)
+        # a list, so that peeking at the first image consumes no iterator
+        auto = list(automorphism)
+        if auto and isinstance(auto[0], Perm):
+            auto = [index[p.images] for p in auto]
         return CosetQuandle(table, sub, auto)
     return CosetQuandle(group, subgroup, automorphism)
 
@@ -491,16 +489,3 @@ def quandle_from_text(text):
 def load_quandle_file(path):
     with open(path, "r", encoding="ascii") as fh:
         return quandle_from_text(fh.read())
-
-
-def load_quandle_dir(path):
-    """Validate and load every table file in a directory, keyed by file name.
-
-    This ingests externally produced quandle libraries; it never writes them.
-    """
-    out = {}
-    for name in sorted(os.listdir(path)):
-        full = os.path.join(path, name)
-        if os.path.isfile(full):
-            out[name] = load_quandle_file(full)
-    return out

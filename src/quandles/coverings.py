@@ -91,10 +91,6 @@ class Congruence:
     def is_uniform(self):
         return len({len(b) for b in self.blocks}) <= 1
 
-    @property
-    def is_identity(self):
-        return all(len(b) == 1 for b in self.blocks)
-
     def __len__(self):
         return len(self.blocks)
 
@@ -192,13 +188,6 @@ class DynamicalCocycle:
         self.fiber_size = fiber_size
         self.values = values
 
-    def is_constant(self):
-        return all(
-            len(set(self.values[x][y])) == 1
-            for x in range(self.base_size)
-            for y in range(self.base_size)
-        )
-
     def __eq__(self, other):
         return isinstance(other, DynamicalCocycle) and self.values == other.values
 
@@ -244,18 +233,6 @@ def dynamical_witness(quandle, fiber_size, values):
                             if left_outer[bxzs[w]] != right_outer[byzt[w]]:
                                 return ("cocycle", (x, y, z, s, t_))
     return None
-
-
-def lift_constant(beta):
-    """View a constant cocycle into Sym(S) as a dynamical cocycle."""
-    coeff = beta.coeff
-    n = beta.quandle.size
-    m = coeff.points  # ValueError unless the coefficients are a symmetric group
-    values = [
-        [tuple(coeff.perm_images(beta.values[x][y]) for _ in range(m)) for y in range(n)]
-        for x in range(n)
-    ]
-    return DynamicalCocycle(n, m, values)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,10 @@ a coefficient group, come from the one breadth-first routine :func:`orbits`.
 from __future__ import annotations
 
 import math
-import re
 
 from .errors import BudgetExceeded
 
 DEFAULT_CLOSURE_CAP = 10**6
-
-_PERM_RE = re.compile(r"^\s*(\d+)\s*:\s*\[([\d\s,]*)\]\s*$")
-
 
 def _after(a, b):
     """The image tuple of a∘b (``b`` applied first)."""
@@ -76,9 +72,6 @@ class Perm:
     def inverse(self):
         return Perm(_inverse(self.images))
 
-    def is_identity(self):
-        return all(i == img for i, img in enumerate(self.images))
-
     def cycles(self, include_fixed=False):
         """Disjoint cycles, each rotated to start at its least point."""
         seen = [False] * self.degree
@@ -97,11 +90,6 @@ class Perm:
                 out.append(tuple(cycle))
         return out
 
-    def cycle_structure(self):
-        """Multiset of cycle lengths, fixed points included, sorted descending."""
-        lengths = [len(c) for c in self.cycles(include_fixed=True)]
-        return tuple(sorted(lengths, reverse=True))
-
     def order(self):
         return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
@@ -118,22 +106,6 @@ class Perm:
 
     def __repr__(self):
         return f"Perm({list(self.images)!r})"
-
-    def to_str(self):
-        """One-line serialization, e.g. ``3: [1,0,2]``."""
-        return f"{self.degree}: [{','.join(map(str, self.images))}]"
-
-    @classmethod
-    def from_str(cls, text):
-        m = _PERM_RE.match(text)
-        if not m:
-            raise ValueError(f"cannot parse permutation: {text!r}")
-        degree = int(m.group(1))
-        body = m.group(2).strip()
-        images = [int(t) for t in body.split(",")] if body else []
-        if len(images) != degree:
-            raise ValueError(f"declared degree {degree} but {len(images)} images")
-        return cls(images)
 
 
 def closure(generators, cap=DEFAULT_CLOSURE_CAP):
@@ -334,13 +306,6 @@ class PermGroup:
     def order(self):
         """The product of the basic orbit lengths of the stabilizer chain."""
         return math.prod(self.chain().orbit_lengths)
-
-    def orbit(self, point):
-        index, blocks = orbits([g.images for g in self.generators], self.degree)
-        return frozenset(blocks[index[point]])
-
-    def is_transitive(self):
-        return len(self.orbit(0)) == self.degree
 
     def is_doubly_transitive(self):
         """Transitive, and the stabilizer of the first base point has an orbit

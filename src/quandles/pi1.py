@@ -2,9 +2,7 @@
 
 For an affine quandle over (G, alpha), the fundamental group is the quotient
 of the tensor square G (x) G by the subgroup generated by all
-x (x) y - y (x) alpha(x). The full enveloping group is Z x G x that quotient
-with a twisted multiplication; only its group law is implemented here, not
-any explicit isomorphism with an abstract presentation.
+x (x) y - y (x) alpha(x).
 
 Everything comes from (G, alpha) with no quandle table, and the relator
 subgroup is an echelon lattice, so the cost is polynomial in the rank of G.
@@ -13,7 +11,6 @@ subgroup is an echelon lattice, so the cost is polynomial in the rank of G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .abelian import (
     AbHom,
@@ -55,20 +52,6 @@ class Pi1Presentation:
     def is_trivial(self):
         return not self.invariants
 
-    def coset_rep(self, element):
-        """Least representative of element + I, in the tensor group's order."""
-        return self.relator_subgroup.coset_rep(element)
-
-    @cached_property
-    def _alpha_powers(self):
-        return {0: AbHom.identity(self.group), 1: self.alpha}
-
-    def alpha_power(self, n):
-        cache = self._alpha_powers
-        if n not in cache:
-            cache[n] = self.alpha.pow(n)
-        return cache[n]
-
 
 def pi1_presentation(group, alpha):
     """Compute the tensor square, the twisting relators, and the quotient."""
@@ -106,40 +89,3 @@ def pi1_affine(quandle):
 def is_simply_connected_affine(quandle):
     return pi1_affine(quandle) == ()
 
-
-@dataclass(frozen=True)
-class EnvelopeElement:
-    """Element (k, x, a) of Z x G x (G(x)G / I) with the twisted product."""
-
-    shift: int
-    translation: tuple
-    coset: tuple
-
-
-def envelope_identity(pres):
-    return EnvelopeElement(0, pres.group.zero, pres.coset_rep(pres.tensor.group.zero))
-
-
-def envelope_mul(pres, a, b):
-    """(k, x, a)(m, y, b) = (k+m, alpha^m(x)+y, a+b+[alpha^m(x) (x) y])."""
-    group = pres.group
-    square = pres.tensor
-    twisted = pres.alpha_power(b.shift)(a.translation)
-    coset = square.group.add(
-        square.group.add(a.coset, b.coset), square.pure_tensor(twisted, b.translation)
-    )
-    return EnvelopeElement(
-        a.shift + b.shift,
-        group.add(twisted, b.translation),
-        pres.coset_rep(coset),
-    )
-
-
-def envelope_inverse(pres, a):
-    group = pres.group
-    square = pres.tensor
-    x_inv = group.neg(pres.alpha_power(-a.shift)(a.translation))
-    coset = square.group.neg(
-        square.group.add(a.coset, square.pure_tensor(group.neg(x_inv), x_inv))
-    )
-    return EnvelopeElement(-a.shift, x_inv, pres.coset_rep(coset))

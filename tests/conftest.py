@@ -1,6 +1,7 @@
 """Shared corpus of desk-scale quandles and coefficient groups."""
 
 import math
+from dataclasses import dataclass
 from itertools import permutations, product
 
 import pytest
@@ -220,12 +221,15 @@ def beta_a_table(q4_quandle, coeff, a):
 
 def reference_normalized_cocycles(quandle, coeff, u=0):
     """normalized_cocycles with the cocycle instances collected over all n^3
-    triples through the pair-keyed ``block_of`` lookup."""
+    triples through a pair-keyed ``block_of`` lookup."""
     q_ = quandle
     n = q_.size
     part = q.full_partition(q_, u, "fgh")
     nblocks = len(part.blocks)
-    block_of = part.block_of
+
+    def block_of(pair):
+        return part.index[pair[0] * n + pair[1]]
+
     e = coeff.identity
     values = [None] * nblocks
     for i, block in enumerate(part.blocks):
@@ -357,8 +361,8 @@ def pair_perm(p):
 def reference_is_doubly_transitive(generators, degree):
     """Transitivity on ordered distinct pairs, via the orbit of (0, 1) under
     the n^2-point pair permutations."""
-    group = q.PermGroup([pair_perm(g) for g in generators], degree * degree)
-    return len(group.orbit(1)) == degree * (degree - 1)
+    index, blocks = q.orbits([pair_perm(g).images for g in generators], degree * degree)
+    return len(blocks[index[1]]) == degree * (degree - 1)
 
 
 def reference_cocycle_witness(quandle, coeff, values):
@@ -388,6 +392,123 @@ def reference_weak_cocycle_check(beta):
                 if (v[t[x][y]][t[x][z]] == v[x][t[y][z]]) != (v[x][z] == v[y][z]):
                     return False
     return True
+
+
+def pair_map_k(maps):
+    """k, the inverse of the pair map h, evaluated by its formula
+    k(x, y) = (u/((x*y/u)\\y), y) with the quandle's divisions."""
+    quandle, u = maps.quandle, maps.u
+    op, rdiv, ldiv = quandle.op, quandle.right_divide, quandle.left_divide
+    return lambda pair: (rdiv(u, ldiv(rdiv(op(*pair), u), pair[1])), pair[1])
+
+
+def induced_g_action(quandle, u, which):
+    """The action of f or h on the g-orbits, as a block-index map.
+
+    Each image set is asserted to be exactly one g-block.
+    """
+    part = q.full_partition(quandle, u, "g")
+    images = q.PairMaps(quandle, u).images[which]
+    index, n = part.index, quandle.size
+    out = []
+    for i, block in enumerate(part.blocks):
+        targets = {index[images[x * n + y]] for x, y in block}
+        target = targets.pop()
+        # images is injective, so one target block of equal size is the whole block
+        assert not targets and len(part.blocks[target]) == len(block), (
+            f"{which} does not map g-orbit {i} onto a single g-orbit"
+        )
+        out.append(target)
+    return part, tuple(out)
+
+
+def f_orbit_length_by_recursion(quandle, u, x, y):
+    """|O_f(x, y)| by the translation recursion: with phi = L_x L_(y/u), the
+    first coordinate of f^k(x, y) is phi^(k/2)(x) for even k and
+    phi^((k+1)/2)(y/u) for odd k; the length is the first k where it is x."""
+    n = quandle.size
+    yu = quandle.right_divide(y, u)
+    phi = quandle.left_section[x] * quandle.left_section[yu]
+    points = [x, yu]
+    for k in range(1, n * n + 1):
+        points[k % 2] = phi(points[k % 2])
+        if points[k % 2] == x:
+            return k
+    return None
+
+
+def f_orbit_length_by_power_sum(quandle, x, y):
+    """|O_f(x, y)| at u = 0 on an affine quandle: with z = x - y/0, the least
+    j with sum_{i=1..j} (-1)^i alpha^i(z) = 0."""
+    n = quandle.size
+    group, alpha = quandle.group, quandle.alpha
+    elems = group.elements()
+    term = group.sub(elems[x], elems[quandle.right_divide(y, 0)])
+    total = group.zero
+    for j in range(1, n * n + 1):
+        term = alpha(term)
+        total = group.add(total, term if j % 2 == 0 else group.neg(term))
+        if total == group.zero:
+            return j
+    return None
+
+
+def lift_constant(beta):
+    """View a constant cocycle into Sym(S) as a dynamical cocycle."""
+    coeff = beta.coeff
+    n = beta.quandle.size
+    m = coeff.points  # ValueError unless the coefficients are a symmetric group
+    values = [
+        [tuple(coeff.perm_images(beta.values[x][y]) for _ in range(m)) for y in range(n)]
+        for x in range(n)
+    ]
+    return q.DynamicalCocycle(n, m, values)
+
+
+@dataclass(frozen=True)
+class EnvelopeElement:
+    """Element (k, x, a) of Z x G x (G(x)G / I) with the twisted product."""
+
+    shift: int
+    translation: tuple
+    coset: tuple
+
+
+def alpha_power(pres, n):
+    """alpha^n for any integer n, a negative one through ``reference_inverse``."""
+    alpha = pres.alpha if n >= 0 else reference_inverse(pres.alpha)
+    return alpha.pow(abs(n))
+
+
+def envelope_identity(pres):
+    return EnvelopeElement(
+        0, pres.group.zero, pres.relator_subgroup.coset_rep(pres.tensor.group.zero)
+    )
+
+
+def envelope_mul(pres, a, b):
+    """(k, x, a)(m, y, b) = (k+m, alpha^m(x)+y, a+b+[alpha^m(x) (x) y])."""
+    group = pres.group
+    square = pres.tensor
+    twisted = alpha_power(pres, b.shift)(a.translation)
+    coset = square.group.add(
+        square.group.add(a.coset, b.coset), square.pure_tensor(twisted, b.translation)
+    )
+    return EnvelopeElement(
+        a.shift + b.shift,
+        group.add(twisted, b.translation),
+        pres.relator_subgroup.coset_rep(coset),
+    )
+
+
+def envelope_inverse(pres, a):
+    group = pres.group
+    square = pres.tensor
+    x_inv = group.neg(alpha_power(pres, -a.shift)(a.translation))
+    coset = square.group.neg(
+        square.group.add(a.coset, square.pure_tensor(group.neg(x_inv), x_inv))
+    )
+    return EnvelopeElement(-a.shift, x_inv, pres.relator_subgroup.coset_rep(coset))
 
 
 def reference_validate_table(table):

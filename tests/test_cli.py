@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandles as q
 from quandles import knots
@@ -189,6 +193,18 @@ def test_pi1_matrix_must_be_integer_rows(capsys, matrix):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: matrix must be a list of lists of integers")
+
+
+@pytest.mark.parametrize("group, matrix", [
+    ("Z 5", "[[2],[3]]"), ("Z 5", "[]"), ("Z 5", "[[2,3]]"), ("Z 1", "[[]]"),
+    ("Z 3 x Z 3", "[[2,0]]"),
+])
+def test_pi1_matrix_shape_checked(capsys, group, matrix):
+    # [[2],[3]] over Z 5 lost its second row and was reported simply connected
+    code, out, err = run(capsys, "pi1", group, matrix)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: matrix must be")
 
 
 def test_pi1_needs_no_table(capsys):
@@ -389,3 +405,90 @@ def test_orbits_q4_uniform_f_length(capsys, table_files):
 def test_usage_error(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+DEEP = "[" * 50000 + "]" * 50000
+
+
+def test_deep_json_nesting_is_an_input_error(capsys, tmp_path, table_files):
+    # each of these raised RecursionError out of main
+    cocycle_path = tmp_path / "deep.json"
+    cocycle_path.write_text(DEEP)
+    for argv in (
+        ["pi1", "Z 5", DEEP],
+        ["cover", "verify", "--base", table_files["r3"], "--total", table_files["r3"],
+         "--map", DEEP],
+        ["knot", "invariant", "--quandle", table_files["r3"], "--coeff", "Sym2",
+         "--cocycle", str(cocycle_path), "--gauss", "unknot"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv[0]
+        assert out == ""
+        assert err.startswith("input error:"), argv[0]
+
+
+def exit_code(argv):
+    """main's exit code, with its reports discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+# nesting depths on both sides of the JSON parser's recursion limit
+nested = st.sampled_from((2, 1000, 100_000)).map(lambda d: "[" * d + "]" * d)
+# groups of rank at most 3 whose descriptors keep every factor
+moduli_lists = st.lists(st.integers(2, 9), min_size=1, max_size=3)
+descriptors = moduli_lists.map(lambda ms: " x ".join(f"Z {d}" for d in ms))
+entries = st.one_of(
+    st.integers(-20, 20), st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(), st.none(), st.text(max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(descriptors, st.text(max_size=30)), st.one_of(nested, st.text(max_size=30)))
+def test_pi1_arguments_fuzz(group, matrix):
+    assert exit_code(["pi1", group, matrix]) in (0, 1, 2, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moduli_lists, st.data())
+def test_pi1_matrix_fuzz(moduli, data):
+    """Wrong-shape or non-integer matrices are input errors; well-formed ones
+    end in any documented exit code."""
+    k = len(moduli)
+    rows, cols = (data.draw(st.integers(k - 1, k + 1)) for _ in range(2))
+    cells = st.integers(-20, 20) if data.draw(st.booleans()) else entries
+    matrix = data.draw(st.lists(st.lists(cells, min_size=cols, max_size=cols),
+                                min_size=rows, max_size=rows))
+    code = exit_code(["pi1", " x ".join(f"Z {d}" for d in moduli), json.dumps(matrix)])
+    assert code in (0, 1, 2, 3)
+    well_formed = rows == k and cols == k and all(type(v) is int for r in matrix for v in r)
+    if not well_formed:
+        assert code == 2, matrix
+
+
+@pytest.fixture(scope="module")
+def cover_files(tmp_path_factory):
+    """R_3 and its trivial extension with fiber 2, as table files."""
+    r3 = q.dihedral_quandle(3)
+    total = q.extend(r3, q.trivial_cocycle(r3, CoeffGroup.symmetric(2))).total
+    folder = tmp_path_factory.mktemp("cover")
+    paths = []
+    for name, quandle in (("base", r3), ("total", total)):
+        path = folder / f"{name}.txt"
+        path.write_text(q.quandle_to_text(quandle))
+        paths.append(str(path))
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cover_map_fuzz(cover_files, data):
+    base, total = cover_files
+    text = data.draw(st.one_of(
+        st.text(max_size=30),
+        nested,
+        st.lists(st.one_of(st.integers(-2, 4), entries), max_size=8).map(json.dumps),
+    ))
+    argv = ["cover", "verify", "--base", base, "--total", total, "--map", text]
+    assert exit_code(argv) in (0, 1, 2, 3)

@@ -3,7 +3,8 @@
 import math
 
 import quandles as q
-from quandles.cocycles import PairMaps, full_partition, induced_g_action, normalized_cocycles
+from conftest import f_orbit_length_by_power_sum, f_orbit_length_by_recursion, induced_g_action
+from quandles.cocycles import PairMaps, full_partition, normalized_cocycles
 
 
 def alternating_sum(group, alpha, z, count, start=0):
@@ -27,6 +28,17 @@ def test_f_fixed_points_and_no_two_orbits(affine_corpus):
                 assert (length == 1) == (y == quandle.op(x, 0)), name
                 assert length != 2, name
                 assert length <= n, name
+
+
+def test_f_orbit_length_closed_forms(affine_corpus):
+    # the pairs of acceptance criterion 7: every (x, y) of the corpus at u = 0
+    for name, quandle in affine_corpus:
+        n = quandle.size
+        for x in range(n):
+            for y in range(n):
+                length = q.f_orbit_length(quandle, 0, x, y)
+                assert f_orbit_length_by_recursion(quandle, 0, x, y) == length, name
+                assert f_orbit_length_by_power_sum(quandle, x, y) == length, name
 
 
 def test_g_orbit_lcm_law(affine_corpus):
@@ -175,7 +187,7 @@ def test_labeled_g_families(affine_corpus):
         fixed_pairs = {
             (x, quandle.op(x, 0)) for x in range(n) if x != 0
         }
-        assert part.f_family == {part.block_of(p) for p in fixed_pairs}, name
+        assert part.f_family == {part.index[x * n + y] for x, y in fixed_pairs}, name
         # the u-family covers the fiber over u, apart from (u, u)
         fiber_pairs = {
             (x, y) for x in range(n) for y in range(n) if quandle.op(x, y) == 0
@@ -185,7 +197,8 @@ def test_labeled_g_families(affine_corpus):
         # h moves both families entirely off themselves
         for family in (part.f_family, part.u_family):
             for b in family:
-                image_block = part.block_of(maps.h(part.blocks[b][0]))
+                hx, hy = maps.h(part.blocks[b][0])
+                image_block = part.index[hx * n + hy]
                 assert image_block not in family, name
         # f preserves both families; each f-fixed g-orbit stays pointwise fixed
         _, f_action = induced_g_action(quandle, 0, "f")

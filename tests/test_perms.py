@@ -116,12 +116,11 @@ def test_orbit_examples():
     mixed = Perm.from_cycles(6, [(0, 4, 2), (3, 1)]).images
     assert orbits([mixed], 6) == ((0, 1, 0, 1, 0, 2), ((0, 2, 4), (1, 3), (5,)))
     assert orbits([], 2) == ((0, 1), ((0,), (1,)))
-    assert PermGroup([Perm(mixed)]).orbit(4) == frozenset({0, 2, 4})
 
 
 def test_transitivity_flags():
     cyclic = PermGroup([Perm.from_cycles(3, [(0, 1, 2)])])
-    assert cyclic.is_transitive()
+    assert len(orbits([g.images for g in cyclic.generators], 3)[1]) == 1
     assert not cyclic.is_doubly_transitive()
     sym3 = PermGroup([Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])])
     assert sym3.is_doubly_transitive()
@@ -136,29 +135,22 @@ def test_double_transitivity_needs_degree_two():
 def test_doubly_transitive_implies_transitive(gens):
     group = PermGroup(gens)
     if group.is_doubly_transitive():
-        assert group.is_transitive()
+        assert len(orbits([g.images for g in gens], 5)[1]) == 1
 
 
 def test_cycle_structure():
-    assert Perm.identity(4).cycle_structure() == (1, 1, 1, 1)
-    assert Perm.from_cycles(4, [(0, 1, 2)]).cycle_structure() == (3, 1)
+    def lengths(p):
+        return sorted(map(len, p.cycles(include_fixed=True)), reverse=True)
+
+    assert lengths(Perm.identity(4)) == [1, 1, 1, 1]
+    assert lengths(Perm.from_cycles(4, [(0, 1, 2)])) == [3, 1]
+    assert Perm.from_cycles(4, [(0, 1, 2)]).cycles() == [(0, 1, 2)]
 
 
 def test_pair_perm_acts_diagonally():
     p = Perm.from_cycles(3, [(0, 1, 2)])
     pp = pair_perm(p)
     assert pp(0 * 3 + 1) == 1 * 3 + 2
-
-
-def test_serialization_roundtrip():
-    p = Perm([1, 0, 2])
-    assert p.to_str() == "3: [1,0,2]"
-    assert Perm.from_str(p.to_str()) == p
-    assert Perm.from_str("0: []") == Perm.identity(0)
-    with pytest.raises(ValueError):
-        Perm.from_str("3: [1,0]")
-    with pytest.raises(ValueError):
-        Perm.from_str("nonsense")
 
 
 def test_rejects_non_permutation():

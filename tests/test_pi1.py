@@ -6,21 +6,18 @@ import pytest
 import quandles as q
 from conftest import (
     AFFINE_CORPUS_DEFS,
+    EnvelopeElement,
     automorphism_order,
     companion,
+    envelope_identity,
+    envelope_inverse,
+    envelope_mul,
     enumerate_subgroup,
     least_coset_reps,
     refuse_table,
 )
 from quandles.errors import BudgetExceeded, NotConnected
-from quandles.pi1 import (
-    MAX_PI1_RANK,
-    EnvelopeElement,
-    envelope_identity,
-    envelope_inverse,
-    envelope_mul,
-    pi1_presentation,
-)
+from quandles.pi1 import MAX_PI1_RANK, pi1_presentation
 
 
 def test_order_four_quandle_numbers(q4):
@@ -94,7 +91,7 @@ def test_coset_rep_matches_enumeration(affine_corpus):
         if square.order > 4096:
             continue
         reps = least_coset_reps(square, enumerate_subgroup(square, pres.relators))
-        assert all(pres.coset_rep(x) == reps[x] for x in square.elements()), name
+        assert all(pres.relator_subgroup.coset_rep(x) == reps[x] for x in square.elements()), name
 
 
 def test_trivial_group_trivial_pi1():
@@ -135,7 +132,7 @@ def test_envelope_identity_law(q4):
     pres = pi1_presentation(q4.group, q4.alpha)
     e = envelope_identity(pres)
     samples = [
-        EnvelopeElement(k, x, pres.coset_rep(t))
+        EnvelopeElement(k, x, pres.relator_subgroup.coset_rep(t))
         for k in (-1, 0, 2)
         for x in q4.group.elements()[:2]
         for t in [pres.tensor.group.zero]
@@ -148,7 +145,7 @@ def test_envelope_identity_law(q4):
 def test_envelope_associativity_exhaustive(q4):
     pres = pi1_presentation(q4.group, q4.alpha)
     elements = [
-        EnvelopeElement(1, x, pres.coset_rep(pres.tensor.group.zero))
+        EnvelopeElement(1, x, pres.relator_subgroup.coset_rep(pres.tensor.group.zero))
         for x in q4.group.elements()
     ]
     for a, b, c in product(elements, repeat=3):
@@ -159,7 +156,7 @@ def test_envelope_associativity_exhaustive(q4):
 
 def test_envelope_associativity_mixed_shifts(q4):
     pres = pi1_presentation(q4.group, q4.alpha)
-    cosets = sorted({pres.coset_rep(t) for t in pres.tensor.group.elements()})
+    cosets = sorted({pres.relator_subgroup.coset_rep(t) for t in pres.tensor.group.elements()})
     elements = [
         EnvelopeElement(k, x, a)
         for k in (-1, 0, 1)
@@ -177,7 +174,7 @@ def test_envelope_inverse(q4, r3):
     for quandle in (q4, r3):
         pres = pi1_presentation(quandle.group, quandle.alpha)
         e = envelope_identity(pres)
-        cosets = sorted({pres.coset_rep(t) for t in pres.tensor.group.elements()})
+        cosets = sorted({pres.relator_subgroup.coset_rep(t) for t in pres.tensor.group.elements()})
         for k in (-2, -1, 0, 1, 3):
             for x in quandle.group.elements():
                 for a in cosets:
