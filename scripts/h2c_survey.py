@@ -3,8 +3,8 @@
 
 Rows are connected affine quandles, columns coefficient groups; each cell is
 the number of cohomology classes (1 means every covering with that fiber
-structure is trivial). The last four rows are the doubly transitive quandles
-Aff(F_q, omega) of orders 27, 32, 49 and 81, omega multiplication by a
+structure is trivial). The last five rows are the doubly transitive quandles
+Aff(F_q, omega) of orders 27, 32, 49, 81 and 243, omega multiplication by a
 primitive element: every count is 1, as the theorem that these quandles are
 simply connected for q != 4 says, while Q4 = Aff(F_4, omega) is the exception.
 
@@ -28,12 +28,14 @@ QUANDLES = [
     ("Q(Z_7,3x)", (7,), [[3]]),
     ("Q(Z_2^3,7c)", (2, 2, 2), [[0, 0, 1], [1, 0, 1], [0, 1, 0]]),
     # companion matrices of x^3 - x^2 - 2 over F_3, x^5 + x^2 + 1 over F_2,
-    # x^2 - 2x - 2 over F_7 and x^4 + x + 2 over F_3
+    # x^2 - 2x - 2 over F_7, x^4 + x + 2 over F_3 and x^5 - x^4 - 2 over F_3
     ("Q(Z_3^3,26c)", (3, 3, 3), [[0, 0, 2], [1, 0, 0], [0, 1, 1]]),
     ("Q(Z_2^5,31c)", (2, 2, 2, 2, 2),
      [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]),
     ("Q(Z_7^2,48c)", (7, 7), [[0, 2], [1, 2]]),
     ("Q(Z_3^4,80c)", (3, 3, 3, 3), [[0, 0, 0, 1], [1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]]),
+    ("Q(Z_3^5,242c)", (3, 3, 3, 3, 3),
+     [[0, 0, 0, 0, 2], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1]]),
 ]
 
 # (name, group, moduli of an abelian group or None)

@@ -380,9 +380,12 @@ def smith_normal_form(matrix):
     Returns nonnegative d_1, ..., d_min(rows, cols) with d_i | d_{i+1} among
     the nonzero entries. Pivoting always picks the smallest-absolute-value
     nonzero entry of the working submatrix, scanning row-major, so the
-    intermediate states are reproducible.
+    intermediate states are reproducible. Entries must be ints: a float
+    would be truncated and a bool read as 0 or 1.
     """
-    a = [list(map(int, row)) for row in matrix]
+    a = [list(row) for row in matrix]
+    if not all(type(v) is int for row in a for v in row):
+        raise ValueError("matrix entries must be integers")
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     if any(len(r) != ncols for r in a):

@@ -281,9 +281,6 @@ class ConstantCocycle:
         self.coeff = coeff
         self.values = values
 
-    def value(self, x, y):
-        return self.values[x][y]
-
     def is_normalized(self, u):
         """True iff beta(x, u) = 1 for every x."""
         return all(row[u] == self.coeff.identity for row in self.values)
@@ -327,25 +324,17 @@ def conjugate_cocycle(beta, sigma):
 def normalize(beta, u=0):
     """The u-normalized cocycle cohomologous to beta (latin quandles only):
 
-    beta_u(x, y) = beta((x*y)/u, u)^-1 beta(x, y) beta(y/u, u)
+    beta_u(x, y) = beta((x*y)/u, u)^-1 beta(x, y) beta(y/u, u),
+
+    the twist of beta by gamma(z) = beta(z/u, u)^-1. A twist of a cocycle is
+    a cocycle, and beta_u(x, u) = beta(u, u) = 1, so it is not re-verified.
     """
     q = beta.quandle
     if not q.is_latin:
         raise NotLatin("normalization needs a latin quandle")
     g = beta.coeff
-    n = q.size
-    values = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            head = g.inv(beta.values[q.right_divide(q.op(x, y), u)][u])
-            tail = beta.values[q.right_divide(y, u)][u]
-            row.append(g.mul(g.mul(head, beta.values[x][y]), tail))
-        values.append(row)
-    result = ConstantCocycle(q, g, values)
-    if not result.is_normalized(u):
-        raise AssertionError("normalization did not produce a u-normalized cocycle")
-    return result
+    gamma = [g.inv(beta.values[q.right_divide(z, u)][u]) for z in range(q.size)]
+    return ConstantCocycle(q, g, _twist(beta, gamma), check=False)
 
 
 def _twist(beta, gamma):
@@ -554,15 +543,16 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     containing a pair (x, u), (u, x) or (x, x) are pinned to the identity;
     the rest are assigned by :func:`quandles.search.solutions`, smallest
     orbit first, with the cocycle condition propagated after every
-    assignment; ``node_budget`` bounds its nodes. Every emitted table is
-    re-verified from scratch.
+    assignment; ``node_budget`` bounds its nodes.
 
     The cocycle instances are collected only for x over one point of each
     cycle of L_u (row u of the table), with all y and z. That loses none:
     L_u is an automorphism, so the instance at (u*x, u*y, u*z) involves the
     g-images (u*a, u*b) of the pairs (a, b) of the one at (x, y, z), and
     every orbit is a union of g-orbits. The instance set, and with it the
-    propagation order and the results, is the one all n^3 triples give.
+    propagation order and the results, is the one all n^3 triples give. So
+    every solution meets the cocycle condition at all n^3 triples, and with
+    its diagonal orbits pinned it is a cocycle: it is not re-verified.
     """
     if not quandle.is_latin:
         raise NotLatin("cocycle enumeration needs a latin quandle")
@@ -612,7 +602,8 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     left, right = coeff._division_rows()
     found = solutions(coeff.table, relations, values, left=left, right=right,
                       budget=node_budget, what="cocycle")
-    return [ConstantCocycle(q, coeff, [[a[v] for v in row] for row in rows]) for a in found]
+    return [ConstantCocycle(q, coeff, [[a[v] for v in row] for row in rows], check=False)
+            for a in found]
 
 
 def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
@@ -621,9 +612,9 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
     Normalized cocycles are cohomologous exactly when conjugate by a single
     group element, so classes are buckets under the conjugation maps of
     ``coeff``; the representative of each class is its lexicographically
-    least table. A representative is the image of a verified cocycle under
-    an automorphism of the group, so it is a cocycle by construction and is
-    not re-verified.
+    least table. A representative is the image of a cocycle that
+    ``normalized_cocycles`` found under an automorphism of the group, so it
+    is a cocycle by construction and is not re-verified.
     """
     cocycles = normalized_cocycles(quandle, coeff, u, node_budget)
     conjugations = coeff.conjugations()

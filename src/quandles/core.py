@@ -245,9 +245,13 @@ def conjugation_quandle(elements):
     """The quandle x*y = x y x^-1 on a list of permutations.
 
     The list must be closed under mutual conjugation; points are indexed in
-    the order given.
+    the order given. Conjugation is an injective, idempotent and
+    distributive operation, so a closed list gives a quandle and its table
+    is not re-validated.
     """
     elements = list(elements)
+    if not elements:
+        raise ValueError("empty table")
     index = {}
     for i, g in enumerate(elements):
         if g in index:
@@ -264,7 +268,7 @@ def conjugation_quandle(elements):
                 )
             row.append(index[conj])
         table.append(row)
-    return Quandle(table)
+    return Quandle(table, _checked=True)
 
 
 class AffineQuandle(Quandle):
@@ -367,7 +371,12 @@ def _validate_group_table(table):
 
 
 class CosetQuandle(Quandle):
-    """Coset quandle on G/H: xH * yH = x alpha(x^-1 y) H, with H <= Fix(alpha)."""
+    """Coset quandle on G/H: xH * yH = x alpha(x^-1 y) H, with H <= Fix(alpha).
+
+    Once the inputs are checked, the cell does not depend on the coset
+    representatives and the axioms hold, so each cell is read off the least
+    representatives and the table is not re-validated.
+    """
 
     __slots__ = ("group_table", "subgroup", "automorphism", "cosets")
 
@@ -392,17 +401,9 @@ class CosetQuandle(Quandle):
         # left cosets xH, the orbits of right multiplication by H, ordered by
         # least representative
         coset_of, cosets = orbits([[row[h] for row in t] for h in sub], n)
-        m = len(cosets)
-        table = [[None] * m for _ in range(m)]
-        for i, bi in enumerate(cosets):
-            for j, bj in enumerate(cosets):
-                results = {
-                    coset_of[t[x][auto[t[inverses[x]][y]]]] for x in bi for y in bj
-                }
-                if len(results) != 1:
-                    raise ValueError(f"coset operation not well defined at {(i, j)}")
-                table[i][j] = results.pop()
-        super().__init__(table)
+        reps = [c[0] for c in cosets]
+        table = [[coset_of[t[x][auto[t[inverses[x]][y]]]] for y in reps] for x in reps]
+        super().__init__(table, _checked=True)
         self.group_table = t
         self.subgroup = sub
         self.automorphism = auto
@@ -428,11 +429,17 @@ def coset_quandle(group, subgroup, automorphism):
     if isinstance(group, PermGroup):
         elems, table = permutation_table(p.images for p in group.elements())
         index = {p: i for i, p in enumerate(elems)}
-        sub = [index[p.images] if isinstance(p, Perm) else p for p in subgroup]
+
+        def element(p):
+            if p.images not in index:
+                raise ValueError(f"{p!r} is not an element of the group")
+            return index[p.images]
+
+        sub = [element(p) if isinstance(p, Perm) else p for p in subgroup]
         # a list, so that peeking at the first image consumes no iterator
         auto = list(automorphism)
         if auto and isinstance(auto[0], Perm):
-            auto = [index[p.images] for p in auto]
+            auto = [element(p) for p in auto]
         return CosetQuandle(table, sub, auto)
     return CosetQuandle(group, subgroup, automorphism)
 

@@ -96,11 +96,15 @@ class Congruence:
 
 
 def ker_left_section(quandle):
-    """The congruence identifying points with equal left translations."""
+    """The congruence identifying points with equal left translations.
+
+    L_{z*x} = L_z L_x L_z^-1 and L_{x*z} = L_x L_z L_x^-1 depend on x only
+    through L_x, so equal rows form a congruence and it is not re-checked.
+    """
     groups = {}
     for x, row in enumerate(quandle.table):
         groups.setdefault(row, []).append(x)
-    return Congruence.from_blocks(quandle, list(groups.values()))
+    return Congruence.from_blocks(quandle, list(groups.values()), check=False)
 
 
 def _congruence_of(quandle, parent):
@@ -261,11 +265,13 @@ class Extension:
         return Covering(self.total, self.base, self.projection)
 
     def fiber_congruence(self):
+        """The fibers over the base points, a congruence of a valid extension:
+        the projection is a homomorphism."""
         m = self.fiber_size
         blocks = [
             tuple(range(x * m, (x + 1) * m)) for x in range(self.base.size)
         ]
-        return Congruence.from_blocks(self.total, blocks)
+        return Congruence.from_blocks(self.total, blocks, check=False)
 
 
 def extend(quandle, cocycle):
@@ -329,6 +335,8 @@ def quotient(quandle, congruence):
     re-checked: it is a bijection, and for a in block i and b in block j the
     total's cell at ((i, pos a), (j, pos b)) is ([r_i * r_j], pos(a*b)) for
     the block leaders r_i, r_j, with [r_i * r_j] = [a*b] by compatibility.
+    The quotient table, a homomorphic image of the quandle, is not
+    re-validated either: the one check is the compatibility of the partition.
     """
     if isinstance(congruence, Congruence):
         if congruence.quandle is not quandle and congruence.quandle != quandle:
@@ -341,34 +349,20 @@ def quotient(quandle, congruence):
         raise NotCompatible(f"partition is not a congruence at {witness}")
     if not cong.is_uniform:
         raise NotUniform("congruence blocks differ in size")
-    q = quandle
+    t = quandle.table
     blocks = cong.blocks
-    m = len(blocks[0])
-    k = len(blocks)
+    m, k = len(blocks[0]), len(blocks)
     idx = cong.block_index
-    position = {}
-    for block in blocks:
-        for s, x in enumerate(block):
-            position[x] = s
-    qt = [[idx[q.op(blocks[i][0], blocks[j][0])] for j in range(k)] for i in range(k)]
-    quotient_quandle = Quandle(qt)
-    values = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            target = qt[i][j]
-            cell = []
-            for s in range(m):
-                source = blocks[i][s]
-                images = tuple(
-                    position[q.op(source, blocks[j][t])] for t in range(m)
-                )
-                cell.append(images)
-            row.append(tuple(cell))
-        values.append(tuple(row))
+    position = {x: s for block in blocks for s, x in enumerate(block)}
+    qt = [[idx[t[bi[0]][bj[0]]] for bj in blocks] for bi in blocks]
+    quotient_quandle = Quandle(qt, _checked=True)
+    # beta(i, j, s)(t) is the position of (block i)[s] * (block j)[t]
+    values = [
+        [[tuple(position[t[a][b]] for b in bj) for a in bi] for bj in blocks] for bi in blocks
+    ]
     dyn = DynamicalCocycle(k, m, values)
     ext = extend(quotient_quandle, dyn)
-    embedding = tuple(idx[x] * m + position[x] for x in range(q.size))
+    embedding = tuple(idx[x] * m + position[x] for x in range(len(t)))
     return QuotientResult(quotient_quandle, dyn, ext, embedding)
 
 

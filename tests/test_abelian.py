@@ -241,6 +241,13 @@ def test_smith_normal_form_known():
     assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
 
 
+@pytest.mark.parametrize("matrix", [[[2.9, True]], [[2.0, 4]], [[True, 0], [0, 1]], [["2"]]])
+def test_smith_normal_form_refuses_non_int_entries(matrix):
+    """A float is not truncated and a bool is no 0 or 1: only ints enter."""
+    with pytest.raises(ValueError):
+        smith_normal_form(matrix)
+
+
 @settings(max_examples=80)
 @given(
     st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4), min_size=1, max_size=4)

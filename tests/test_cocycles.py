@@ -212,13 +212,21 @@ def test_weak_check_on_enumerated_cocycles(r3):
         assert reference_weak_cocycle_check(ConstantCocycle(r3, s2, table))
 
 
+def checked_normalize(beta, u):
+    """normalize, after the full cocycle check of the twist it builds
+    unchecked."""
+    normalized = q.normalize(beta, u)
+    assert normalized.is_normalized(u)
+    assert reference_cocycle_witness(beta.quandle, beta.coeff, normalized.values) is None
+    return normalized
+
+
 def test_normalize_fixes_column(r3):
     s2 = CoeffGroup.symmetric(2)
     for table in brute_force_cocycles(r3, s2):
         beta = ConstantCocycle(r3, s2, table)
-        normalized = q.normalize(beta, 0)
-        assert normalized.is_normalized(0)
-        assert q.are_cohomologous(beta, normalized)
+        for u in range(r3.size):
+            assert q.are_cohomologous(beta, checked_normalize(beta, u))
     trivial = q.trivial_cocycle(r3, s2)
     assert q.normalize(trivial, 0) == trivial
 
@@ -226,7 +234,11 @@ def test_normalize_fixes_column(r3):
 def test_normalize_is_identity_on_normalized(q4):
     z2 = CoeffGroup.abelian((2,))
     beta = ConstantCocycle(q4, z2, beta_a_table(q4, z2, 1))
-    assert q.normalize(beta, 0) == beta
+    assert checked_normalize(beta, 0) == beta
+    s3 = CoeffGroup.symmetric(3)
+    for cocycle in [beta, *normalized_cocycles(q4, s3, 0)]:
+        for u in range(q4.size):
+            assert q.are_cohomologous(cocycle, checked_normalize(cocycle, u))
 
 
 def test_normalize_needs_latin():
@@ -726,6 +738,9 @@ def test_normalized_cocycles_match_reference(small_affine_corpus, small_coeffs):
                     beta.values for beta in reference_normalized_cocycles(quandle, coeff, u)
                 ]
                 assert found == expected, (name, cname, u)
+                # emitted unchecked: each must pass the full n^3 check
+                for values in found:
+                    assert reference_cocycle_witness(quandle, coeff, values) is None
 
 
 # abelian groups of order <= 27 that carry connected affine quandles

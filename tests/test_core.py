@@ -36,6 +36,13 @@ from quandles.perms import Perm, closure
 R3_TABLE = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
 
+def validated(quandle):
+    """The quandle, after the full axiom check of a table that the coset and
+    conjugation constructions build unchecked."""
+    assert reference_validate_table(quandle.table) == quandle.table
+    return quandle
+
+
 def test_r3_from_table():
     quandle = q.Quandle(R3_TABLE)
     # hand check of x*y = 2y - x mod 3
@@ -83,13 +90,17 @@ def test_conjugation_quandle_transpositions():
         Perm.from_cycles(3, [(0, 2)]),
         Perm.from_cycles(3, [(1, 2)]),
     ]
-    conj = q.conjugation_quandle(transpositions)
+    conj = validated(q.conjugation_quandle(transpositions))
     assert conj.size == 3
     assert q.are_isomorphic(conj, q.dihedral_quandle(3))
+    for k in range(2, 7):
+        validated(transposition_quandle(k))
 
 
 def test_conjugation_quandle_identity():
-    assert q.conjugation_quandle([Perm.identity(3)]).size == 1
+    assert validated(q.conjugation_quandle([Perm.identity(3)])).size == 1
+    with pytest.raises(ValueError):
+        q.conjugation_quandle([])
 
 
 def test_conjugation_quandle_not_closed():
@@ -136,13 +147,13 @@ def test_coset_quandle_full_subgroup_is_trivial():
     # H = G forces alpha to fix everything, since H <= Fix(alpha)
     g = q.FinAbGroup((3, 3))
     full = list(g.elements())
-    assert q.coset_quandle(g, full, q.AbHom.identity(g)).size == 1
+    assert validated(q.coset_quandle(g, full, q.AbHom.identity(g))).size == 1
 
 
 def test_coset_quandle_trivial_subgroup_is_principal():
     g = q.FinAbGroup((3, 3))
     swap = q.AbHom(g, g, [[0, 1], [1, 0]])
-    principal = q.coset_quandle(g, [g.zero], swap)
+    principal = validated(q.coset_quandle(g, [g.zero], swap))
     direct = q.affine_quandle(g, swap)
     assert principal.table == direct.table
 
@@ -151,7 +162,7 @@ def test_coset_quandle_diagonal():
     g = q.FinAbGroup((3, 3))
     swap = q.AbHom(g, g, [[0, 1], [1, 0]])
     diagonal = [(t, t) for t in range(3)]
-    quandle = q.coset_quandle(g, diagonal, swap)
+    quandle = validated(q.coset_quandle(g, diagonal, swap))
     assert quandle.size == 3
 
 
@@ -181,7 +192,7 @@ def test_coset_quandle_from_perm_group():
     group = q.PermGroup(gens)
     n = group.order()
     identity_map = list(range(n))
-    quandle = q.coset_quandle(group, [0], identity_map)
+    quandle = validated(q.coset_quandle(group, [0], identity_map))
     assert quandle.size == n
     assert quandle.table == q.projection_quandle(n).table
 
@@ -193,11 +204,21 @@ def test_coset_quandle_takes_one_shot_image_iterators():
     elements = sorted(group.elements(), key=lambda p: p.images)
     images = [s * p * s.inverse() for p in elements]
     subgroup = [Perm.identity(3), s]
-    expected = q.coset_quandle(group, subgroup, images)
+    expected = validated(q.coset_quandle(group, subgroup, images))
     assert expected.size == 3
     # peeking at the first image must not consume it
     assert q.coset_quandle(group, iter(subgroup), iter(images)) == expected
     assert q.coset_quandle(group, iter(subgroup), (p for p in images)) == expected
+
+
+def test_coset_quandle_refuses_perms_outside_the_group():
+    """A subgroup or automorphism Perm that is no group element is a
+    ValueError naming it, not a KeyError."""
+    group = q.PermGroup([Perm([1, 0, 2])])
+    with pytest.raises(ValueError, match=r"Perm\(\[0, 2, 1\]\)"):
+        q.coset_quandle(group, [Perm([0, 2, 1])], [0, 1])
+    with pytest.raises(ValueError, match=r"Perm\(\[1, 2, 0\]\)"):
+        q.coset_quandle(group, [Perm([0, 1, 2])], [Perm([0, 1, 2]), Perm([1, 2, 0])])
 
 
 def test_divisions(r3):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandles as q
+import quandles.cocycles as cmod
 import quandles.core as core
 import quandles.coverings as cov
 from conftest import (
@@ -130,6 +131,68 @@ def test_extend_checks_each_cocycle_once(q4, monkeypatch):
     assert calls == [("dynamical_witness", q4)]
 
 
+def test_nothing_is_re_proved_after_construction(
+    small_affine_corpus, small_coeffs, r3, q4, monkeypatch
+):
+    """Found and normalized cocycles, coset, conjugation and quotient tables,
+    kernels and fibers hold by construction: the n^3 cocycle check, the
+    table validator and the compatibility check never run on them. A
+    quotient checks its given partition once, and the extension it rebuilds
+    checks its cocycle once."""
+    s2, s3 = CoeffGroup.symmetric(2), CoeffGroup.symmetric(3)
+    # extend checks a constant cocycle, so the extensions are built first
+    extensions = [
+        extend(quandle, beta)
+        for quandle in (r3, q4)
+        for coeff in (s2, s3)
+        for beta in normalized_cocycles(quandle, coeff, 0)
+    ]
+    g33 = q.FinAbGroup((3, 3))
+    swap = q.AbHom(g33, g33, [[0, 1], [1, 0]])
+    s = q.Perm.from_cycles(3, [(0, 1)])
+    sym3 = q.PermGroup([s, q.Perm.from_cycles(3, [(0, 1, 2)])])
+    elements = sorted(sym3.elements(), key=lambda p: p.images)
+    compatibility = Congruence._compatibility_witness
+
+    def forbidden(*args):
+        raise AssertionError("re-proof of what holds by construction")
+
+    monkeypatch.setattr(cmod, "cocycle_witness", forbidden)
+    monkeypatch.setattr(core, "_validate_table", forbidden)
+    monkeypatch.setattr(Congruence, "_compatibility_witness", forbidden)
+    for _, quandle in small_affine_corpus:
+        u = quandle.size - 1
+        for _, coeff in small_coeffs:
+            cocycles = normalized_cocycles(quandle, coeff, 0)
+            assert 1 <= len(q.h2c(quandle, coeff)) <= len(cocycles)
+            for beta in cocycles:
+                assert q.normalize(beta, u).is_normalized(u)
+        ker_left_section(quandle)
+    q.coset_quandle(g33, [g33.zero], swap)
+    q.coset_quandle(g33, [(t, t) for t in range(3)], swap)
+    q.coset_quandle(g33, list(g33.elements()), q.AbHom.identity(g33))
+    q.coset_quandle(sym3, [q.Perm.identity(3), s], [s * p * s.inverse() for p in elements])
+    q.conjugation_quandle(
+        q.Perm.from_cycles(4, [(a, b)]) for a in range(4) for b in range(a + 1, 4)
+    )
+    q.conjugation_quandle([q.Perm.identity(3)])
+    for ext in extensions:
+        ker_left_section(ext.total)
+        ext.fiber_congruence()
+
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    monkeypatch.setattr(Congruence, "_compatibility_witness", counted(compatibility))
+    monkeypatch.setattr(cov, "dynamical_witness", counted(dynamical_witness))
+    for ext in extensions:
+        calls.clear()
+        quotient(ext.total, ext.fiber_congruence())
+        assert sorted(calls) == ["_compatibility_witness", "dynamical_witness"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_extend_checks_constant_cocycles_like_their_lift(small_affine_corpus, data):
@@ -183,21 +246,29 @@ def test_extend_rejects_invalid():
         extend(r3, dyn)
 
 
+def checked_quotient(quandle, congruence):
+    """quotient, after the full axiom check of the quotient table it builds
+    unchecked."""
+    result = quotient(quandle, congruence)
+    assert reference_validate_table(result.quotient.table) == result.quotient.table
+    return result
+
+
 def test_quotient_identity_partition(r3):
-    result = quotient(r3, [[0], [1], [2]])
+    result = checked_quotient(r3, [[0], [1], [2]])
     assert result.quotient.table == r3.table
     assert result.embedding == (0, 1, 2)
 
 
 def test_quotient_single_block(r3):
-    result = quotient(r3, [[0, 1, 2]])
+    result = checked_quotient(r3, [[0, 1, 2]])
     assert result.quotient.size == 1
 
 
 def test_quotient_of_direct_product_recovers_base(r3):
     ext = direct_product_with_projection(r3, 2)
     blocks = [[x * 2, x * 2 + 1] for x in range(3)]
-    result = quotient(ext.total, blocks)
+    result = checked_quotient(ext.total, blocks)
     assert result.quotient.table == r3.table
     # reconstruction gives an isomorphic extension of the quotient
     assert result.extension.total.size == 6
@@ -230,10 +301,18 @@ def test_quotient_requires_compatible(r3, monkeypatch):
 
 def checked_fibers(ext):
     """The fiber congruence of an extension, after the full axiom check of
-    its total: both hold by construction once the cocycle is valid."""
-    assert reference_validate_table(ext.total.table) == ext.total.table
+    its total and of the projection as a homomorphism onto the base: all
+    hold by construction once the cocycle is valid."""
+    total, base, m = ext.total, ext.base, ext.fiber_size
+    assert reference_validate_table(total.table) == total.table
+    assert all(
+        total.op(a, b) // m == base.op(a // m, b // m)
+        for a in range(total.size)
+        for b in range(total.size)
+    )
     fibers = ext.fiber_congruence()
-    assert fibers.is_uniform and len(fibers) == ext.base.size
+    assert fibers.is_uniform and len(fibers) == base.size
+    assert fibers.blocks == tuple(tuple(range(x * m, (x + 1) * m)) for x in range(base.size))
     return fibers
 
 
@@ -243,7 +322,7 @@ def test_extend_quotient_round_trip(small_affine_corpus):
             s = CoeffGroup.symmetric(points)
             for beta in [q.trivial_cocycle(quandle, s), *normalized_cocycles(quandle, s, 0)]:
                 ext = extend(quandle, beta)
-                result = quotient(ext.total, checked_fibers(ext))
+                result = checked_quotient(ext.total, checked_fibers(ext))
                 assert result.quotient.table == quandle.table, name
                 checked_fibers(result.extension)
                 # quotient does not re-check its reconstruction: it must be a
@@ -258,18 +337,26 @@ def test_extend_quotient_round_trip(small_affine_corpus):
                 ), name
 
 
+def checked_kernel(quandle):
+    """ker_left_section, after checking that its blocks, built unchecked,
+    are a congruence."""
+    kernel = ker_left_section(quandle)
+    assert kernel.blocks in reference_congruences(quandle)
+    return kernel
+
+
 def test_ker_left_section(r3):
-    assert all(len(b) == 1 for b in ker_left_section(r3).blocks)
+    assert all(len(b) == 1 for b in checked_kernel(r3).blocks)
     proj = q.projection_quandle(3)
-    assert len(ker_left_section(proj)) == 1
+    assert len(checked_kernel(proj)) == 1
     ext = direct_product_with_projection(r3, 2)
-    kernel = ker_left_section(ext.total)
+    kernel = checked_kernel(ext.total)
     assert sorted(len(b) for b in kernel.blocks) == [2, 2, 2]
 
 
 def test_ker_left_section_identity_on_latin(small_affine_corpus):
     for name, quandle in small_affine_corpus:
-        assert all(len(b) == 1 for b in ker_left_section(quandle).blocks), name
+        assert all(len(b) == 1 for b in checked_kernel(quandle).blocks), name
 
 
 def test_is_covering_canonical_projection(small_affine_corpus):
@@ -288,6 +375,8 @@ def test_is_covering_coset_instance():
     total = q.coset_quandle(g, [g.zero], swap)
     diagonal = [(t, t) for t in range(3)]
     base = q.coset_quandle(g, diagonal, swap)
+    for built in (total, base):
+        assert reference_validate_table(built.table) == built.table
     # psi(x + H1) = x + H2; compute each element's diagonal coset index
     base_cosets = base.cosets
     elems = list(g.elements())
@@ -356,7 +445,7 @@ def test_non_constant_extension_is_not_covering(r3):
     assert not is_covering(square, r3, mapping)
     # and the rebuilt quotient cocycle is genuinely non-constant
     blocks = [[x * n + s for s in range(n)] for x in range(n)]
-    result = quotient(square, blocks)
+    result = checked_quotient(square, blocks)
     assert not all(len(set(cell)) == 1 for row in result.cocycle.values for cell in row)
     checked_fibers(result.extension)
 
@@ -554,7 +643,7 @@ def test_direct_product_congruences(r3):
     block_shapes = {tuple(sorted(len(b) for b in c.blocks)) for c in congs}
     assert (2, 2, 2) in block_shapes  # the fiber congruence is found
     fiber = next(c for c in congs if sorted(len(b) for b in c.blocks) == [2, 2, 2])
-    assert quotient(ext.total, fiber).quotient.table == r3.table
+    assert checked_quotient(ext.total, fiber).quotient.table == r3.table
 
 
 def test_extension_json_roundtrip(q4):
