@@ -13,6 +13,9 @@ representatives (beta(x, u) = 1 for a base point u), which are constant on
 the orbits of three explicit bijections of X x X; :func:`h2c` enumerates the
 classes by backtracking over those orbits.
 
+Coefficient groups are :class:`quandles.core.CoeffGroup` Cayley tables,
+the one finite-group table type, which coset quandles share.
+
 The pair bijections are image tuples over the pair ids p = x*n + y, and
 their orbits, like the components of a quandle and the conjugacy classes
 of a coefficient group, come from :func:`quandles.perms.orbits`.
@@ -20,205 +23,15 @@ of a coefficient group, come from :func:`quandles.perms.orbits`.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
 
 from .abelian import FinAbGroup
-from .core import Quandle, _is_index_list, _validate_group_table
-from .errors import BudgetExceeded, InvalidCocycle, NotLatin
-from .perms import orbits, permutation_table
+from .core import CoeffGroup, Quandle, _is_index_list
+from .errors import InvalidCocycle, NotLatin
+from .perms import orbits
 from .search import find, solutions, union
 
 DEFAULT_H2C_NODE_BUDGET = 10**6
-# a coefficient group is tabulated in full: order**2 entries
-MAX_COEFF_ORDER = 2048
-
-# Sym(k) by k; the order cap keeps this to k <= 6, and the groups are immutable
-_SYMMETRIC = {}
-
-
-def _check_order(order, what):
-    if order > MAX_COEFF_ORDER:
-        raise BudgetExceeded(
-            f"coefficient group {what} is larger than the order cap {MAX_COEFF_ORDER}"
-        )
-
-
-class CoeffGroup:
-    """A finite coefficient group, held as its Cayley table over 0..order-1.
-
-    ``table[a][b]`` is the index of ab and ``inverses[a]`` that of a^-1.
-    Three constructors build this form: symmetric groups on a finite set of
-    points, finite abelian groups, and explicit Cayley tables. Each refuses
-    groups of order above ``MAX_COEFF_ORDER`` before enumerating anything.
-    """
-
-    __slots__ = ("table", "order", "identity", "inverses", "labels", "_descriptor",
-                 "_images", "_conjugations", "_classes", "_division")
-
-    def __init__(self, table, identity, inverses, labels, descriptor, images=None):
-        self.table = table
-        self.order = len(table)
-        self.identity = identity
-        self.inverses = inverses
-        self.labels = labels
-        self._descriptor = descriptor
-        self._images = images
-        self._conjugations = None
-        self._classes = None
-        self._division = None
-
-    @classmethod
-    def symmetric(cls, points):
-        """Sym(S) for S = {0, ..., points-1}, elements in sorted image order.
-
-        Built once per number of points and shared.
-        """
-        if points < 1:
-            raise ValueError("need at least one point")
-        # k! > MAX_COEFF_ORDER for every k >= MAX_COEFF_ORDER: no huge factorial
-        _check_order(math.factorial(min(points, MAX_COEFF_ORDER)), f"Sym({points})")
-        group = _SYMMETRIC.get(points)
-        if group is None:
-            images, table = permutation_table(permutations(range(points)))
-            group = _SYMMETRIC[points] = cls(
-                table,
-                0,  # the identity sorts first
-                tuple(row.index(0) for row in table),
-                tuple("[" + ",".join(map(str, p)) + "]" for p in images),
-                f"Sym({points})",
-                images,
-            )
-        return group
-
-    @classmethod
-    def abelian(cls, group):
-        """A finite abelian group, elements in row-major (mixed radix) order."""
-        if not isinstance(group, FinAbGroup):
-            group = FinAbGroup(tuple(group))
-        _check_order(group.order, group.descriptor())
-        elems = group.elements()
-        return cls(
-            group.cayley_table(),
-            group.index_of(group.zero),
-            tuple(group.index_of(group.neg(x)) for x in elems),
-            tuple("(" + ",".join(map(str, x)) + ")" for x in elems),
-            group.descriptor(),
-        )
-
-    @classmethod
-    def from_cayley(cls, table, labels=None):
-        """An explicit, validated Cayley table; elements keep their given order."""
-        if isinstance(table, (list, tuple)):  # anything else is refused by the validator
-            _check_order(len(table), f"cayley({len(table)})")
-        table, identity, inverses = _validate_group_table(table)
-        n = len(table)
-        if labels is None:
-            labels = tuple(f"g{i}" for i in range(n))
-        else:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n or len(set(labels)) != n:
-                raise ValueError("labels must be distinct, one per element")
-        return cls(table, identity, inverses, labels, f"cayley({n})")
-
-    def _perms(self):
-        if self._images is None:
-            raise ValueError("not a symmetric group")
-        return self._images
-
-    @property
-    def points(self):
-        """For symmetric groups, the number of points acted on."""
-        return len(self._perms()[0])
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inv(self, a):
-        return self.inverses[a]
-
-    def conj(self, s, a):
-        """s a s^-1."""
-        return self.table[self.table[s][a]][self.inverses[s]]
-
-    def _division_rows(self):
-        """Rows solving ab = c: left[a][c] = a^-1 c and right[b][c] = c b^-1."""
-        if self._division is None:
-            t, inv = self.table, self.inverses
-            self._division = (
-                tuple(t[i] for i in inv),
-                tuple(tuple(row[i] for row in t) for i in inv),
-            )
-        return self._division
-
-    def conjugations(self):
-        """The distinct maps a -> s a s^-1 as image tuples, by least s."""
-        if self._conjugations is None:
-            t, inv = self.table, self.inverses
-            self._conjugations = tuple(
-                dict.fromkeys(tuple(t[sa][inv[s]] for sa in t[s]) for s in range(self.order))
-            )
-        return self._conjugations
-
-    def conjugacy_classes(self):
-        """The orbits of the conjugation maps, ordered by least element."""
-        if self._classes is None:
-            self._classes = orbits(self.conjugations(), self.order)
-        return self._classes[1]
-
-    def class_rep(self, a):
-        """Least element of the conjugacy class of ``a``."""
-        if not 0 <= a < self.order:
-            raise ValueError(f"no element {a}")
-        return self.conjugacy_classes()[self._classes[0][a]][0]
-
-    def label(self, a):
-        return self.labels[a]
-
-    def index_of_label(self, text):
-        try:
-            return self.labels.index(text)
-        except ValueError:
-            raise ValueError(f"unknown element label {text!r}") from None
-
-    def perm_images(self, a):
-        """For symmetric groups, the image tuple of element ``a``."""
-        return self._perms()[a]
-
-    def perm_index(self, images):
-        """For symmetric groups, the element with the given image tuple."""
-        perms = self._perms()
-        images = tuple(images)
-        i = bisect_left(perms, images)
-        if i == len(perms) or perms[i] != images:
-            raise ValueError(f"{images!r} is not an element of {self.descriptor()}")
-        return i
-
-    def regular_embedding(self):
-        """The left regular representation into Sym(G).
-
-        Returns the target group Sym({0..order-1}) and the index map sending
-        each element a to left multiplication by a, whose images are row a.
-        """
-        target = CoeffGroup.symmetric(self.order)
-        return target, tuple(target.perm_index(row) for row in self.table)
-
-    def descriptor(self):
-        return self._descriptor
-
-    def _key(self):
-        return (self._descriptor, self.labels, self.table)
-
-    def __eq__(self, other):
-        return isinstance(other, CoeffGroup) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((self._descriptor, self.labels))
-
-    def __repr__(self):
-        return f"CoeffGroup({self.descriptor()})"
 
 
 def parse_coeff_descriptor(text):

@@ -4,9 +4,17 @@ A quandle is a left quasigroup that is left distributive and idempotent; the
 rows of its table are the left translations, which generate the left
 multiplication group. The constructors here cover the standard families:
 projection, conjugation, coset and affine quandles.
+
+A finite group, be it a cocycle's coefficients or a coset quandle's group,
+is a :class:`CoeffGroup` Cayley table; only a table given from outside is
+checked for the group axioms.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_left
+from itertools import permutations, product
 
 from .abelian import AbHom, FinAbGroup
 from .errors import (
@@ -19,7 +27,7 @@ from .errors import (
     NotLeftQuasigroup,
     SubgroupNotFixed,
 )
-from .perms import Perm, PermGroup, orbits, permutation_table
+from .perms import Perm, PermGroup, _after, orbits
 from .search import solutions
 
 ISOMORPHISM_SIZE_CAP = 12
@@ -204,7 +212,11 @@ class Quandle:
         return None
 
     def restrict(self, subset):
-        """The subquandle on ``subset``; raises ValueError if not closed."""
+        """The subquandle on ``subset``; raises ValueError on points outside
+        0..n-1 or a subset that is not closed."""
+        subset = tuple(subset)
+        if not _is_index_list(subset, self.size):
+            raise ValueError(f"{subset} is not a set of points 0..{self.size - 1}")
         subset = sorted(set(subset))
         index = {v: i for i, v in enumerate(subset)}
         table = []
@@ -347,48 +359,228 @@ def affine_is_connected(group, alpha):
 def _validate_group_table(table):
     t = _square_rows(table, "group table")
     n = len(t)
-    identity = None
-    for e in range(n):
-        if all(t[e][x] == x and t[x][e] == x for x in range(n)):
-            identity = e
-            break
+    identity = next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
     if identity is None:
         raise ValueError("group table has no identity")
-    inverses = [None] * n
     for x in range(n):
-        for y in range(n):
-            if t[x][y] == identity and t[y][x] == identity:
-                inverses[x] = y
-                break
-        if inverses[x] is None:
+        if not any(t[x][y] == identity == t[y][x] for y in range(n)):
             raise ValueError(f"element {x} has no inverse")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise ValueError(f"group table is not associative at {(a, b, c)}")
-    return t, identity, tuple(inverses)
+    for a, b, c in product(range(n), repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            raise ValueError(f"group table is not associative at {(a, b, c)}")
+    return t, identity
+
+
+# a group is tabulated in full: order**2 entries
+MAX_COEFF_ORDER = 2048
+
+# Sym(k) by k; the order cap keeps this to k <= 6, and the groups are immutable
+_SYMMETRIC = {}
+
+
+def _check_order(order, what):
+    if order > MAX_COEFF_ORDER:
+        raise BudgetExceeded(
+            f"coefficient group {what} is larger than the order cap {MAX_COEFF_ORDER}"
+        )
+
+
+class CoeffGroup:
+    """A finite group, held as its Cayley table over 0..order-1: the
+    coefficients of a cocycle, or the group of a coset quandle.
+
+    ``table[a][b]`` is the index of ab and ``inverses[a]`` that of a^-1.
+    Three public constructors build this form: symmetric groups on a finite
+    set of points, finite abelian groups, and explicit Cayley tables, the
+    only input that is validated; ``coset_quandle`` tabulates permutation
+    groups through the one permutation-table path of ``symmetric``. Each
+    refuses groups of order above ``MAX_COEFF_ORDER`` before enumerating
+    anything.
+    """
+
+    __slots__ = ("table", "order", "identity", "inverses", "labels", "_descriptor",
+                 "_images", "_conjugations", "_classes", "_division")
+
+    def __init__(self, table, identity, labels, descriptor, images=None):
+        self.table = table
+        self.order = len(table)
+        self.identity = identity
+        self.inverses = tuple(row.index(identity) for row in table)
+        self.labels = labels
+        self._descriptor = descriptor
+        self._images = images
+        self._conjugations = None
+        self._classes = None
+        self._division = None
+
+    @classmethod
+    def symmetric(cls, points):
+        """Sym(S) for S = {0, ..., points-1}, elements in sorted image order.
+
+        Built once per number of points and shared.
+        """
+        if points < 1:
+            raise ValueError("need at least one point")
+        # k! > MAX_COEFF_ORDER for every k >= MAX_COEFF_ORDER: no huge factorial
+        _check_order(math.factorial(min(points, MAX_COEFF_ORDER)), f"Sym({points})")
+        group = _SYMMETRIC.get(points)
+        if group is None:
+            group = _SYMMETRIC[points] = cls._permutations(
+                permutations(range(points)), f"Sym({points})"
+            )
+        return group
+
+    @classmethod
+    def _permutations(cls, images, descriptor):
+        """The group of a composition-closed set of image tuples, elements in
+        sorted image order, so the identity sorts first; ``table[a][b]`` is
+        the index of a∘b (``b`` applied first)."""
+        images = tuple(sorted(images))
+        index = {p: i for i, p in enumerate(images)}
+        table = tuple(tuple(index[_after(a, b)] for b in images) for a in images)
+        labels = tuple("[" + ",".join(map(str, p)) + "]" for p in images)
+        return cls(table, 0, labels, descriptor, images)
+
+    @classmethod
+    def abelian(cls, group):
+        """A finite abelian group, elements in row-major (mixed radix) order."""
+        if not isinstance(group, FinAbGroup):
+            group = FinAbGroup(tuple(group))
+        _check_order(group.order, group.descriptor())
+        labels = tuple("(" + ",".join(map(str, x)) + ")" for x in group.elements())
+        return cls(group.cayley_table(), 0, labels, group.descriptor())  # zero is index 0
+
+    @classmethod
+    def from_cayley(cls, table, labels=None):
+        """An explicit, validated Cayley table; elements keep their given order."""
+        if isinstance(table, (list, tuple)):  # anything else is refused by the validator
+            _check_order(len(table), f"cayley({len(table)})")
+        table, identity = _validate_group_table(table)
+        n = len(table)
+        labels = tuple(f"g{i}" for i in range(n)) if labels is None else tuple(map(str, labels))
+        if len(labels) != n or len(set(labels)) != n:
+            raise ValueError("labels must be distinct, one per element")
+        return cls(table, identity, labels, f"cayley({n})")
+
+    def _perms(self):
+        if self._images is None:
+            raise ValueError("not a symmetric group")
+        return self._images
+
+    @property
+    def points(self):
+        """For permutation groups, the number of points acted on."""
+        return len(self._perms()[0])
+
+    def mul(self, a, b):
+        return self.table[a][b]
+
+    def inv(self, a):
+        return self.inverses[a]
+
+    def conj(self, s, a):
+        """s a s^-1."""
+        return self.table[self.table[s][a]][self.inverses[s]]
+
+    def _division_rows(self):
+        """Rows solving ab = c: left[a][c] = a^-1 c and right[b][c] = c b^-1."""
+        if self._division is None:
+            t, inv = self.table, self.inverses
+            self._division = (
+                tuple(t[i] for i in inv),
+                tuple(tuple(row[i] for row in t) for i in inv),
+            )
+        return self._division
+
+    def conjugations(self):
+        """The distinct maps a -> s a s^-1 as image tuples, by least s."""
+        if self._conjugations is None:
+            t, inv = self.table, self.inverses
+            self._conjugations = tuple(
+                dict.fromkeys(tuple(t[sa][inv[s]] for sa in t[s]) for s in range(self.order))
+            )
+        return self._conjugations
+
+    def conjugacy_classes(self):
+        """The orbits of the conjugation maps, ordered by least element."""
+        if self._classes is None:
+            self._classes = orbits(self.conjugations(), self.order)
+        return self._classes[1]
+
+    def class_rep(self, a):
+        """Least element of the conjugacy class of ``a``."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"no element {a}")
+        return self.conjugacy_classes()[self._classes[0][a]][0]
+
+    def label(self, a):
+        return self.labels[a]
+
+    def index_of_label(self, text):
+        try:
+            return self.labels.index(text)
+        except ValueError:
+            raise ValueError(f"unknown element label {text!r}") from None
+
+    def perm_images(self, a):
+        """For permutation groups, the image tuple of element ``a``."""
+        return self._perms()[a]
+
+    def perm_index(self, images):
+        """For permutation groups, the element with the given image tuple."""
+        perms = self._perms()
+        images = tuple(images)
+        i = bisect_left(perms, images)
+        if i == len(perms) or perms[i] != images:
+            raise ValueError(f"{images!r} is not an element of {self.descriptor()}")
+        return i
+
+    def regular_embedding(self):
+        """The left regular representation into Sym(G).
+
+        Returns the target group Sym({0..order-1}) and the index map sending
+        each element a to left multiplication by a, whose images are row a.
+        """
+        target = CoeffGroup.symmetric(self.order)
+        return target, tuple(target.perm_index(row) for row in self.table)
+
+    def descriptor(self):
+        return self._descriptor
+
+    def _key(self):
+        return (self._descriptor, self.labels, self.table)
+
+    def __eq__(self, other):
+        return isinstance(other, CoeffGroup) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((self._descriptor, self.labels))
+
+    def __repr__(self):
+        return f"CoeffGroup({self.descriptor()})"
 
 
 class CosetQuandle(Quandle):
     """Coset quandle on G/H: xH * yH = x alpha(x^-1 y) H, with H <= Fix(alpha).
 
-    Once the inputs are checked, the cell does not depend on the coset
-    representatives and the axioms hold, so each cell is read off the least
-    representatives and the table is not re-validated.
+    ``group`` is a :class:`CoeffGroup`, whose table is a group by
+    construction. Once the subgroup and automorphism are checked, the cell
+    does not depend on the coset representatives and the axioms hold, so
+    each cell is read off the least representatives and the table is not
+    re-validated.
     """
 
-    __slots__ = ("group_table", "subgroup", "automorphism", "cosets")
+    __slots__ = ("group", "subgroup", "automorphism", "cosets")
 
-    def __init__(self, group_table, subgroup, automorphism):
-        t, identity, inverses = _validate_group_table(group_table)
-        n = len(t)
+    def __init__(self, group, subgroup, automorphism):
+        t, identity, inverses, n = group.table, group.identity, group.inverses, group.order
         sub, auto = tuple(subgroup), tuple(automorphism)
         if not _is_index_list(sub + auto, n):
             raise ValueError(f"subgroup and automorphism must list elements 0..{n - 1}")
-        sub = tuple(sorted(set(sub)))
-        if identity not in sub or any(
-            t[a][b] not in sub or inverses[a] not in sub for a in sub for b in sub
+        members = set(sub)
+        sub = tuple(sorted(members))
+        if identity not in members or any(
+            t[a][b] not in members or inverses[a] not in members for a in sub for b in sub
         ):
             raise ValueError("subgroup is not closed")
         if sorted(auto) != list(range(n)) or any(
@@ -404,7 +596,7 @@ class CosetQuandle(Quandle):
         reps = [c[0] for c in cosets]
         table = [[coset_of[t[x][auto[t[inverses[x]][y]]]] for y in reps] for x in reps]
         super().__init__(table, _checked=True)
-        self.group_table = t
+        self.group = group
         self.subgroup = sub
         self.automorphism = auto
         self.cosets = tuple(cosets)
@@ -415,33 +607,36 @@ def coset_quandle(group, subgroup, automorphism):
 
     For a FinAbGroup, ``subgroup`` is a list of element tuples and
     ``automorphism`` an AbHom; other inputs use element indices and an
-    index-level map. Permutation groups are converted to a Cayley table
-    first (elements sorted by image tuples).
+    index-level map. Each input becomes a :class:`CoeffGroup` by its own
+    constructor, so only a Cayley table is validated; permutation groups are
+    tabulated with elements sorted by image tuples. A group above
+    ``MAX_COEFF_ORDER`` raises BudgetExceeded before any element is listed.
     """
     if isinstance(group, FinAbGroup):
-        table = group.cayley_table()
+        coeff = CoeffGroup.abelian(group)
         sub = [group.index_of(group.check(x)) for x in subgroup]
         if isinstance(automorphism, AbHom):
-            auto = [group.index_of(automorphism(x)) for x in group.elements()]
-        else:
-            auto = list(automorphism)
-        return CosetQuandle(table, sub, auto)
-    if isinstance(group, PermGroup):
-        elems, table = permutation_table(p.images for p in group.elements())
-        index = {p: i for i, p in enumerate(elems)}
+            if automorphism.source != group or automorphism.target != group:
+                raise NotAutomorphism(f"alpha is not an endomorphism of {group.descriptor()}")
+            automorphism = _index_images(automorphism, coeff.table)
+        return CosetQuandle(coeff, sub, automorphism)
+    if not isinstance(group, PermGroup):
+        return CosetQuandle(CoeffGroup.from_cayley(group), subgroup, automorphism)
+    order = group.order()
+    _check_order(order, f"perm({order})")
+    coeff = CoeffGroup._permutations((p.images for p in group.elements()), f"perm({order})")
 
-        def element(p):
-            if p.images not in index:
-                raise ValueError(f"{p!r} is not an element of the group")
-            return index[p.images]
+    def element(p):
+        if p not in group:
+            raise ValueError(f"{p!r} is not an element of the group")
+        return coeff.perm_index(p.images)
 
-        sub = [element(p) if isinstance(p, Perm) else p for p in subgroup]
-        # a list, so that peeking at the first image consumes no iterator
-        auto = list(automorphism)
-        if auto and isinstance(auto[0], Perm):
-            auto = [element(p) for p in auto]
-        return CosetQuandle(table, sub, auto)
-    return CosetQuandle(group, subgroup, automorphism)
+    sub = [element(p) if isinstance(p, Perm) else p for p in subgroup]
+    # a list, so that peeking at the first image consumes no iterator
+    auto = list(automorphism)
+    if auto and isinstance(auto[0], Perm):
+        auto = [element(p) for p in auto]
+    return CosetQuandle(coeff, sub, auto)
 
 
 def _isomorphic(first, second, domains):

@@ -41,6 +41,9 @@ CONGRUENCE_SIZE_CAP = 12
 
 
 def _normalize_blocks(n, blocks):
+    blocks = [tuple(b) for b in blocks]
+    if not all(_is_index_list(b, n) for b in blocks):
+        raise ValueError(f"blocks must list points 0..{n - 1}")
     out = tuple(sorted(tuple(sorted(set(b))) for b in blocks if b))
     flat = [x for b in out for x in b]
     if sorted(flat) != list(range(n)):
@@ -391,7 +394,8 @@ def extension_from_json(data, base=None):
         base = Quandle(ref["table"])
     beta = cocycle_from_json(document_field(data, "cocycle", "extension"), quandle=base)
     ext = extend(base, beta)
-    if ext.fiber_size != document_field(data, "fiber_size", "extension"):
+    declared = document_field(data, "fiber_size", "extension")
+    if type(declared) is not int or declared != ext.fiber_size:
         raise ValueError("declared fiber size does not match the cocycle")
     return ext
 

@@ -164,20 +164,6 @@ def orbits(maps, size):
     return tuple(index), tuple(blocks)
 
 
-def permutation_table(images):
-    """Sort a composition-closed set of image tuples and tabulate it.
-
-    Returns the sorted image tuples and the Cayley table over their indices,
-    with ``table[a][b]`` the index of ``a * b`` (``b`` applied first).
-    """
-    elems = tuple(sorted(images))
-    index = {p: i for i, p in enumerate(elems)}
-    table = tuple(
-        tuple(index[_after(a, b)] for b in elems) for a in elems
-    )
-    return elems, table
-
-
 class StabilizerChain:
     """A base and strong generating set, by deterministic Schreier-Sims.
 

@@ -143,6 +143,12 @@ def refuse_table(group):
     raise AssertionError(f"the addition table of {group.descriptor()} was built")
 
 
+def refuse_closure(generators, cap=None):
+    """Stands in for ``perms.closure``, which lists every element of a
+    permutation group, in tests that must list none."""
+    raise AssertionError(f"{len(generators)} generators were closed")
+
+
 def build_affine(name):
     for entry_name, moduli, matrix in AFFINE_CORPUS_DEFS:
         if entry_name == name:

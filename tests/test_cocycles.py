@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import quandles as q
 import quandles.cocycles as cmod
+import quandles.perms as perms
 from quandles.abelian import FinAbGroup
 from quandles.cocycles import (
     CoeffGroup,
@@ -35,6 +36,8 @@ from conftest import (
     reference_normalized_cocycles,
     reference_pair_partition,
     reference_weak_cocycle_check,
+    refuse_closure,
+    refuse_table,
 )
 
 # a loop (quasigroup with identity) that is not a group
@@ -100,11 +103,19 @@ def test_conjugacy_classes_are_conjugation_orbits():
                 g.class_rep(a)
 
 
-def test_coeff_order_cap_checked_before_enumeration():
+def test_coeff_order_cap_checked_before_enumeration(monkeypatch):
+    """Coefficient groups and coset quandles share the order cap, which
+    applies before any element is listed or any table is built."""
+    monkeypatch.setattr(perms, "closure", refuse_closure)
+    monkeypatch.setattr(FinAbGroup, "cayley_table", refuse_table)
+    sym7 = q.PermGroup([perms.Perm.from_cycles(7, [(0, 1)]), perms.Perm([*range(1, 7), 0])])
+    huge = FinAbGroup((100000, 100000))
     for build in (
         lambda: CoeffGroup.symmetric(11),
         lambda: CoeffGroup.abelian((100000, 100000)),
         lambda: parse_coeff_descriptor("Sym(7)"),
+        lambda: q.coset_quandle(sym7, [perms.Perm.identity(7)], range(5040)),
+        lambda: q.coset_quandle(huge, [huge.zero], q.AbHom.identity(huge)),
     ):
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):

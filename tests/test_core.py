@@ -188,13 +188,20 @@ def test_coset_quandle_refuses_non_integer_entries():
 
 
 def test_coset_quandle_from_perm_group():
-    gens = [Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])]
-    group = q.PermGroup(gens)
-    n = group.order()
-    identity_map = list(range(n))
-    quandle = validated(q.coset_quandle(group, [0], identity_map))
-    assert quandle.size == n
-    assert quandle.table == q.projection_quandle(n).table
+    # Sym(3), and the dihedral group of order 8 inside Sym(4)
+    for gens in ([Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])],
+                 [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 2)])]):
+        group = q.PermGroup(gens)
+        n = group.order()
+        identity_map = list(range(n))
+        quandle = validated(q.coset_quandle(group, [0], identity_map))
+        assert quandle.size == n
+        assert quandle.table == q.projection_quandle(n).table
+        # the group is held as the composition table of the sorted image tuples
+        coeff, images = quandle.group, sorted(p.images for p in group.elements())
+        assert [coeff.perm_images(a) for a in range(n)] == images
+        assert all(coeff.perm_images(coeff.mul(a, b)) == tuple(images[a][i] for i in images[b])
+                   for a in range(n) for b in range(n))
 
 
 def test_coset_quandle_takes_one_shot_image_iterators():
@@ -463,6 +470,15 @@ def test_restrict_subquandle(q4):
     assert sub.size == 1
     with pytest.raises(ValueError):
         q4.restrict([0, 1])
+    # points outside 0..n-1, negative ones included, are refused, not wrapped
+    for quandle, subset in (
+        (q.projection_quandle(3), [-1, 2]),
+        (q.dihedral_quandle(3), [0, 7]),
+        (q.projection_quandle(3), [True, 0]),
+        (q.projection_quandle(3), [0.0, 1]),
+    ):
+        with pytest.raises(ValueError, match="not a set of points"):
+            quandle.restrict(subset)
 
 
 @settings(max_examples=25, deadline=None)

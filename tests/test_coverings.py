@@ -159,6 +159,7 @@ def test_nothing_is_re_proved_after_construction(
 
     monkeypatch.setattr(cmod, "cocycle_witness", forbidden)
     monkeypatch.setattr(core, "_validate_table", forbidden)
+    monkeypatch.setattr(core, "_validate_group_table", forbidden)
     monkeypatch.setattr(Congruence, "_compatibility_witness", forbidden)
     for _, quandle in small_affine_corpus:
         u = quandle.size - 1
@@ -297,6 +298,18 @@ def test_quotient_requires_compatible(r3, monkeypatch):
     assert len(calls) == 1  # a block list is checked once
     with pytest.raises(NotCompatible):
         quotient(ext.total, Congruence.from_blocks(ext.total, blocks, check=False))
+
+
+def test_congruence_blocks_must_be_point_indices():
+    """Blocks list points by the index rule: a float point is a ValueError,
+    not a TypeError, and true is no point, though it equals 1."""
+    p4 = q.projection_quandle(4)
+    for blocks in ([[0.0, 1], [2, 3]], [[True, 0], [2, 3]], [[0, 1], [2, -1]], [[0, 1, 2, 4]]):
+        with pytest.raises(ValueError, match="blocks must list points 0..3"):
+            Congruence.from_blocks(p4, blocks)
+        with pytest.raises(ValueError, match="blocks must list points 0..3"):
+            quotient(p4, blocks)
+    assert Congruence.from_blocks(p4, [(1, 0), [3, 2, 2]]).blocks == ((0, 1), (2, 3))
 
 
 def checked_fibers(ext):
@@ -670,7 +683,11 @@ def test_extension_json_rejects_malformed_documents(q4):
     bad_rows = {**doc, "cocycle": {**doc["cocycle"], "values": [5, 6, 7, 8]}}
     bad_tables = [{**doc, "base": {"table": table}}
                   for table in (5, [5], [[None]], [[0.5]], [["0"]], [[True]])]
-    for bad in ([doc], "text", no_fiber, {"base": doc["base"]}, bad_rows, *bad_tables):
+    # the fiber size is an integer: 2.0 and true (for a fiber of size 1) are not
+    one = q.extension_to_json(extend(q4, q.trivial_cocycle(q4, CoeffGroup.symmetric(1))))
+    bad_sizes = [{**doc, "fiber_size": 2.0}, {**one, "fiber_size": True}]
+    for bad in ([doc], "text", no_fiber, {"base": doc["base"]}, bad_rows, *bad_tables,
+                *bad_sizes):
         with pytest.raises(ValueError):
             q.extension_from_json(bad)
     with pytest.raises(ValueError):
