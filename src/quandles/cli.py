@@ -268,14 +268,14 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except QuandleError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    # the JSON parser raises RecursionError on nesting past the interpreter's
-    # limit, which is malformed input like any other
+    # malformed input: JSON nested past the interpreter's recursion limit, and
+    # a malformed Gauss code, a QuandleError that is also a ValueError
     except (OSError, ValueError, RecursionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except QuandleError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

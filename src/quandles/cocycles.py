@@ -145,6 +145,8 @@ def normalize(beta, u=0):
     q = beta.quandle
     if not q.is_latin:
         raise NotLatin("normalization needs a latin quandle")
+    if not _is_index_list((u,), q.size):
+        raise ValueError(f"base point {u} out of range")
     g = beta.coeff
     gamma = [g.inv(beta.values[q.right_divide(z, u)][u]) for z in range(q.size)]
     return ConstantCocycle(q, g, _twist(beta, gamma), check=False)
@@ -250,7 +252,7 @@ class PairMaps:
             raise NotLatin("the pair bijections need a latin quandle")
         n = quandle.size
         # a negative u would index the rows from the end
-        if not 0 <= u < n:
+        if not _is_index_list((u,), n):
             raise ValueError(f"base point {u} out of range")
         self.quandle = quandle
         self.u = u
@@ -412,9 +414,7 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     ]
     values.extend([-1] * len(shared))
 
-    left, right = coeff._division_rows()
-    found = solutions(coeff.table, relations, values, left=left, right=right,
-                      budget=node_budget, what="cocycle")
+    found = solutions(coeff, relations, values, budget=node_budget, what="cocycle")
     return [ConstantCocycle(q, coeff, [[a[v] for v in row] for row in rows], check=False)
             for a in found]
 

@@ -7,7 +7,8 @@ projection, conjugation, coset and affine quandles.
 
 A finite group, be it a cocycle's coefficients or a coset quandle's group,
 is a :class:`CoeffGroup` Cayley table; only a table given from outside is
-checked for the group axioms.
+checked for the group axioms. Quandles and groups cache their division rows,
+which the search kernel reads off the object it searches.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     SubgroupNotFixed,
 )
 from .perms import Perm, PermGroup, _after, orbits
-from .search import solutions
+from .search import division_rows, solutions
 
 ISOMORPHISM_SIZE_CAP = 12
 MAX_ISOMORPHISM_NODES = 10**6
@@ -86,14 +87,14 @@ def _validate_table(table):
 class Quandle:
     """A finite quandle on points 0..n-1, with its full n x n table."""
 
-    __slots__ = ("table", "_left_section", "_left_inv", "_latin", "_col_inv", "_lmlt")
+    __slots__ = ("table", "_left_section", "_division", "_latin", "_lmlt")
 
     def __init__(self, table, *, _checked=False):
         self.table = tuple(tuple(row) for row in table) if _checked else _validate_table(table)
         self._clear_caches()
 
     def _clear_caches(self):
-        self._left_section = self._left_inv = self._latin = self._col_inv = self._lmlt = None
+        self._left_section = self._division = self._latin = self._lmlt = None
 
     @property
     def size(self):
@@ -110,44 +111,30 @@ class Quandle:
         return self._left_section
 
     def _division_rows(self):
-        r"""The caches behind left_divide and right_divide: rows[x][y] = x \ y
-        and, on a latin quandle, cols[y][x] = x / y (None otherwise)."""
-        if self._left_inv is None:
-            self._left_inv = tuple(p.inverse().images for p in self.left_section)
-        if self._col_inv is None and self.is_latin:
-            n = self.size
-            cols = []
-            for y_ in range(n):
-                inv = [0] * n
-                for z in range(n):
-                    inv[self.table[z][y_]] = z
-                cols.append(tuple(inv))
-            self._col_inv = tuple(cols)
-        return self._left_inv, self._col_inv
+        r"""Cached :func:`search.division_rows`: left[x][y] = x \ y and, on a
+        latin quandle, right[y][x] = x / y (None otherwise)."""
+        if self._division is None:
+            self._division = division_rows(self.table)
+            self._latin = self._division[1] is not None
+        return self._division
 
     def left_divide(self, x, y):
         r"""x \ y, the unique z with x*z = y."""
-        if self._left_inv is None:
-            self._division_rows()
-        return self._left_inv[x][y]
+        return self._division_rows()[0][x][y]
 
     @property
     def is_latin(self):
         """True iff all right translations are bijections (columns are permutations)."""
         if self._latin is None:
-            n = self.size
-            self._latin = all(
-                len({self.table[x][y] for x in range(n)}) == n for y in range(n)
-            )
+            self._division_rows()
         return self._latin
 
     def right_divide(self, x, y):
         """x / y, the unique z with z*y = x; defined only in latin quandles."""
-        if not self.is_latin:
+        right = self._division_rows()[1]
+        if right is None:
             raise NotLatin("right division needs a latin quandle")
-        if self._col_inv is None:
-            self._division_rows()
-        return self._col_inv[y][x]
+        return right[y][x]
 
     def _generating_points(self):
         """A quandle generating set, greedily: the least point outside the
@@ -483,13 +470,9 @@ class CoeffGroup:
         return self.table[self.table[s][a]][self.inverses[s]]
 
     def _division_rows(self):
-        """Rows solving ab = c: left[a][c] = a^-1 c and right[b][c] = c b^-1."""
+        """Cached :func:`search.division_rows`: a^-1 c = left[a][c], c b^-1 = right[b][c]."""
         if self._division is None:
-            t, inv = self.table, self.inverses
-            self._division = (
-                tuple(t[i] for i in inv),
-                tuple(tuple(row[i] for row in t) for i in inv),
-            )
+            self._division = division_rows(self.table)
         return self._division
 
     def conjugations(self):
@@ -654,10 +637,8 @@ def _isomorphic(first, second, domains):
         raise BudgetExceeded(f"isomorphism search is capped at size {ISOMORPHISM_SIZE_CAP}")
     t1 = first.table
     relations = [(t1[a][b], a, b) for a in range(n) for b in range(n)]
-    left, right = second._division_rows()
-    maps = solutions(second.table, relations, [-1] * n, left=left, right=right,
-                     domains=domains, distinct=True, budget=MAX_ISOMORPHISM_NODES,
-                     what="isomorphism")
+    maps = solutions(second, relations, [-1] * n, domains=domains, distinct=True,
+                     budget=MAX_ISOMORPHISM_NODES, what="isomorphism")
     return next(maps, None) is not None
 
 

@@ -126,6 +126,8 @@ def principal_congruence(quandle, a, b):
     pair is forced by a pair identified before it.
     """
     t = quandle.table
+    if not _is_index_list((a, b), len(t)):
+        raise ValueError(f"{a} and {b} are not points 0..{len(t) - 1}")
     parent = list(range(len(t)))
     work = [(a, b)]
     while work:

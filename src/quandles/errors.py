@@ -74,9 +74,9 @@ class NotSurjective(QuandleError):
     pass
 
 
-class MalformedCode(QuandleError):
+class MalformedCode(QuandleError, ValueError):
     pass
 
 
-class InconsistentSigns(QuandleError):
+class InconsistentSigns(QuandleError, ValueError):
     pass

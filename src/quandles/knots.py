@@ -144,9 +144,8 @@ def colorings(diagram, quandle, *, mirror_convention=False):
             relations.append((cr.out_arc, cr.over_arc, cr.in_arc))
         else:
             relations.append((cr.in_arc, cr.over_arc, cr.out_arc))
-    left, right = quandle._division_rows()
-    return list(solutions(quandle.table, relations, [-1] * diagram.arc_count, left=left,
-                          right=right, budget=MAX_COLORING_NODES, what="coloring"))
+    return list(solutions(quandle, relations, [-1] * diagram.arc_count,
+                          budget=MAX_COLORING_NODES, what="coloring"))
 
 
 def col_count(diagram, quandle, *, mirror_convention=False):

@@ -1,8 +1,9 @@
-"""The toolkit's one backtracking search, and its one union-find.
+"""The toolkit's one backtracking search, division routine and union-find.
 
-Knot colorings (over a quandle table), normalized cocycles (over a group
-table) and equivalences of coverings (over the second total's table) are
-the solutions of relations ``values[top] = table[values[mid]][values[bot]]``.
+Knot colorings (over a quandle), normalized cocycles (over a coefficient
+group) and equivalences of coverings (over the second total) are the
+solutions of relations ``values[top] = table[values[mid]][values[bot]]``
+over the table of the object searched, propagated by its division rows.
 """
 
 from __future__ import annotations
@@ -27,21 +28,36 @@ def union(parent, x, y):
     return True
 
 
-def solutions(table, relations, values, *, left, right, domains=None, distinct=False,
-              budget, what):
+def division_rows(table):
+    """Division rows of a table whose rows are permutations: ``left[m][t]``
+    is the b with table[m][b] = t, and ``right[b][t]`` the m with
+    table[m][b] = t or, when some column repeats a value, ``right`` is None."""
+    n = len(table)
+    left, right = [], [[-1] * n for _ in range(n)]
+    for m, row in enumerate(table):
+        inverse = [0] * n
+        for b, t in enumerate(row):
+            inverse[t] = b
+            right[b][t] = m
+        left.append(tuple(inverse))
+    # a column that repeats a value misses another, whose entry stays -1
+    latin = not any(-1 in column for column in right)
+    return tuple(left), (tuple(map(tuple, right)) if latin else None)
+
+
+def solutions(op, relations, values, *, domains=None, distinct=False, budget, what):
     """Yield, as tuples, the completions of ``values`` (-1 marks a free
     variable) that lie in the domains and satisfy every relation
     (top, mid, bot): values[top] = table[values[mid]][values[bot]].
 
-    ``left[m][t]`` is the b with table[m][b] = t and ``right[b][t]`` the m
-    with table[m][b] = t, or ``right`` is None where columns repeat values.
-    ``domains[v]`` lists the values of variable v in the order to try; by
-    default every row of ``table``. With ``distinct`` no two variables
-    take one value.
+    ``table`` is ``op.table``, of the Quandle or CoeffGroup ``op``, and
+    ``left``, ``right`` its cached :func:`division_rows`. ``domains[v]``
+    lists the values of variable v in the order to try; by default every
+    row of ``table``. With ``distinct`` no two variables take one value.
 
     Assigning a variable visits the relations through it: known mid and bot
     force top or check it, known mid and top force bot, and known top and
-    bot force mid when ``right`` is given. A failed relation, a forced
+    bot force mid when ``right`` is not None. A failed relation, a forced
     value outside its domain or, with ``distinct``, a value already taken
     is a conflict, undone through the trail. The search branches on the
     least free variable, so the completions come out in lexicographic order.
@@ -49,6 +65,8 @@ def solutions(table, relations, values, *, left, right, domains=None, distinct=F
     have propagated, and each branch value whose propagation succeeds. More
     than ``budget`` nodes raises BudgetExceeded.
     """
+    table = op.table
+    left, right = op._division_rows()
     values = list(values)
     nvars = len(values)
     watch = [[] for _ in range(nvars)]

@@ -149,6 +149,17 @@ def refuse_closure(generators, cap=None):
     raise AssertionError(f"{len(generators)} generators were closed")
 
 
+def reference_division_rows(table):
+    """Both divisions by brute force: left[m][t] = table[m].index(t) and, if
+    every column is a permutation, right[b][t] = column b's index of t."""
+    n = len(table)
+    left = tuple(tuple(row.index(t) for t in range(n)) for row in table)
+    columns = [tuple(row[b] for row in table) for b in range(n)]
+    if any(sorted(column) != list(range(n)) for column in columns):
+        return left, None
+    return left, tuple(tuple(column.index(t) for t in range(n)) for column in columns)
+
+
 def build_affine(name):
     for entry_name, moduli, matrix in AFFINE_CORPUS_DEFS:
         if entry_name == name:

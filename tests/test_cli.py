@@ -14,6 +14,7 @@ import quandles as q
 from quandles import knots
 from quandles.cli import main
 from quandles.cocycles import CoeffGroup, ConstantCocycle, cocycle_to_json
+from quandles.errors import InconsistentSigns, MalformedCode
 from quandles.knots import GAUSS_CODES
 from quandles.pi1 import MAX_PI1_RANK
 from conftest import beta_a_table, refuse_table, transposition_quandle
@@ -369,6 +370,18 @@ def test_knot_budget(capsys, monkeypatch, tmp_path, table_files, r3):
     assert "nodes" in err
 
 
+@pytest.mark.parametrize("code, message", [
+    ("O1+ U1-", "crossing 1 has mismatched signs"),
+    ("O1+ U2+ O2+ U1+ O3+", "crossing 3 lacks an over or under passage"),
+])
+def test_knot_malformed_gauss_code(capsys, knot_files, code, message):
+    # both were a mathematical negative, exit 1, before
+    status, out, err = run(capsys, *knot_files, code)
+    assert status == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_orbits_command(capsys, table_files):
     code, out, _ = run(capsys, "orbits", table_files["r3"], "0")
     assert code == 0
@@ -479,6 +492,39 @@ def cover_files(tmp_path_factory):
         path.write_text(q.quandle_to_text(quandle))
         paths.append(str(path))
     return paths
+
+
+@pytest.fixture(scope="module")
+def knot_files(tmp_path_factory):
+    """The knot invariant command over R_3 and its trivial Sym(2) cocycle,
+    without the Gauss code."""
+    r3 = q.dihedral_quandle(3)
+    folder = tmp_path_factory.mktemp("knot")
+    table, cocycle = folder / "r3.txt", folder / "trivial.json"
+    table.write_text(q.quandle_to_text(r3))
+    cocycle.write_text(json.dumps(cocycle_to_json(q.trivial_cocycle(r3, CoeffGroup.symmetric(2)))))
+    return ["knot", "invariant", "--quandle", str(table), "--coeff", "Sym2",
+            "--cocycle", str(cocycle), "--gauss"]
+
+
+# signed Gauss tokens over crossings 0..3, unpaired or mismatched ones included
+gauss_tokens = st.builds("{}{}{}".format, st.sampled_from("OU"), st.integers(0, 3),
+                         st.sampled_from("+-"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=30), st.just("unknot"),
+                 st.lists(gauss_tokens, max_size=8).map(" ".join)))
+def test_knot_gauss_fuzz(knot_files, text):
+    """A code parse_gauss refuses is an input error; any other ends in
+    success or a budget stop."""
+    try:
+        knots.parse_gauss(text)
+        parsed = True
+    except (MalformedCode, InconsistentSigns):
+        parsed = False
+    code = exit_code([*knot_files, text])
+    assert code in ((0, 3) if parsed else (2,)), text
 
 
 @settings(max_examples=200, deadline=None)

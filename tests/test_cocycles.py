@@ -250,6 +250,10 @@ def test_normalize_is_identity_on_normalized(q4):
     for cocycle in [beta, *normalized_cocycles(q4, s3, 0)]:
         for u in range(q4.size):
             assert q.are_cohomologous(cocycle, checked_normalize(cocycle, u))
+    # a base point is a point: -1 would normalize at 3
+    for u in (-1, 4, 2.0, True):
+        with pytest.raises(ValueError):
+            q.normalize(beta, u)
 
 
 def test_normalize_needs_latin():
@@ -376,6 +380,13 @@ def test_pair_maps_examples(r3):
     assert maps.f((1, 2)) == (1, 2)  # fixed because 2 = 1*0
     assert maps.g((1, 2)) == (2, 1)
     assert maps.h((1, 2)) == (0, 2)
+    # a base point is a point, in the maps and so in full_partition and h2c
+    s2 = CoeffGroup.symmetric(2)
+    for u in (-1, 3, 1.0, True):
+        for call in (lambda: PairMaps(r3, u), lambda: q.full_partition(r3, u),
+                     lambda: q.h2c(r3, s2, u=u)):
+            with pytest.raises(ValueError, match="base point"):
+                call()
 
 
 def test_pair_maps_require_latin():

@@ -592,6 +592,10 @@ def test_principal_congruence_and_lattice(r3, q4):
     # dihedral of size 3 admits only the two bounds
     congs = all_congruences(r3)
     assert len(congs) == 2
+    # -1 read as 2, 5 past the table, True as 1: none is a point
+    for pair in ((0, -1), (0, 5), (True, 0), (0, 1.0)):
+        with pytest.raises(ValueError):
+            principal_congruence(r3, *pair)
     # every congruence of each small connected corpus quandle is uniform
     for quandle in (r3, q4, q.dihedral_quandle(5)):
         for cong in all_congruences(quandle):

@@ -8,26 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandles as q
-from conftest import build_affine, transposition_quandle
+from conftest import build_affine, reference_division_rows, transposition_quandle
 from quandles.cocycles import CoeffGroup
-from quandles.errors import BudgetExceeded
-from quandles.search import find, solutions, union
-
-
-def case(obj):
-    """The table and division rows of a quandle or a CoeffGroup."""
-    left, right = obj._division_rows()
-    return obj.table, left, right
+from quandles.errors import BudgetExceeded, NotLatin
+from quandles.search import division_rows, find, solutions, union
 
 
 # latin and non-latin quandles (right division None), and group tables
 CASES = {
-    "r3": case(build_affine("r3")),
-    "q4": case(build_affine("q4")),
-    "transpositions4": case(transposition_quandle(4)),
-    "projection3": case(q.projection_quandle(3)),
-    "Sym3": case(CoeffGroup.symmetric(3)),
-    "Z4": case(CoeffGroup.abelian((4,))),
+    "r3": build_affine("r3"),
+    "q4": build_affine("q4"),
+    "transpositions4": transposition_quandle(4),
+    "projection3": q.projection_quandle(3),
+    "Sym3": CoeffGroup.symmetric(3),
+    "Z4": CoeffGroup.abelian((4,)),
 }
 
 
@@ -44,15 +38,16 @@ def brute_force(table, relations, values, domains, distinct):
     ]
 
 
-def run(table, left, right, relations, values, domains, distinct, budget):
-    return list(solutions(table, relations, values, left=left, right=right,
-                          domains=domains, distinct=distinct, budget=budget, what="test"))
+def run(op, relations, values, domains, distinct, budget):
+    return list(solutions(op, relations, values, domains=domains, distinct=distinct,
+                          budget=budget, what="test"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(CASES)), st.data())
 def test_solutions_match_brute_force(name, data):
-    table, left, right = CASES[name]
+    op = CASES[name]
+    table = op.table
     size = len(table)
     nvars = data.draw(st.integers(1, 4), label="variables")
     var = st.integers(0, nvars - 1)
@@ -70,8 +65,7 @@ def test_solutions_match_brute_force(name, data):
     # the least passing budget, by bisection; every completion is a state
     def passes(budget):
         try:
-            return run(table, left, right, relations, values, domains, distinct,
-                       budget) == expected
+            return run(op, relations, values, domains, distinct, budget) == expected
         except BudgetExceeded:
             return False
 
@@ -89,12 +83,39 @@ def test_solutions_match_brute_force(name, data):
         assert high == bound
     if high:
         with pytest.raises(BudgetExceeded):
-            run(table, left, right, relations, values, domains, distinct, high - 1)
+            run(op, relations, values, domains, distinct, high - 1)
     # the default domain is every row of the table
     full = [range(size)] * nvars
-    assert list(solutions(table, relations, values, left=left, right=right, distinct=distinct,
-                          budget=10**6, what="test")) == brute_force(table, relations, values,
-                                                                     full, distinct)
+    assert list(solutions(op, relations, values, distinct=distinct, budget=10**6,
+                          what="test")) == brute_force(table, relations, values, full, distinct)
+
+
+def test_division_rows_match_reference(small_affine_corpus, r3):
+    """division_rows, the cached rows of quandles and groups, is_latin and
+    both divisions agree with the brute-force inverses."""
+    trivial = q.extend(r3, q.trivial_cocycle(r3, CoeffGroup.symmetric(2))).total
+    quandles = [quandle for _, quandle in small_affine_corpus] + [
+        q.projection_quandle(1), q.projection_quandle(3), transposition_quandle(4), trivial]
+    groups = [CoeffGroup.symmetric(k) for k in range(1, 5)]
+    groups += [CoeffGroup.abelian((4,)), CoeffGroup.abelian((2, 3))]
+    assert reference_division_rows(trivial.table)[1] is None  # not latin
+    for op in quandles + groups:
+        expected = reference_division_rows(op.table)
+        assert division_rows(op.table) == expected
+        assert op._division_rows() == expected
+    for quandle in quandles:
+        left, right = reference_division_rows(quandle.table)
+        assert q.Quandle(quandle.table, _checked=True).is_latin == (right is not None)
+        assert quandle.is_latin == (right is not None)
+        n = quandle.size
+        for x in range(n):
+            for y in range(n):
+                assert quandle.left_divide(x, y) == left[x][y]
+                if right is None:
+                    with pytest.raises(NotLatin):
+                        quandle.right_divide(x, y)
+                else:
+                    assert quandle.right_divide(x, y) == right[y][x]
 
 
 def test_union_find_merges_under_least_root():
