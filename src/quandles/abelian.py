@@ -189,11 +189,6 @@ class AbHom:
         return cls(group, group, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, group):
-        n = group.rank
-        return cls(group, group, [[0] * n for _ in range(n)])
-
-    @classmethod
     def scaling(cls, group, n):
         """Multiplication by n, the map usually written lambda_n."""
         k = group.rank

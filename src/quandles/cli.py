@@ -174,9 +174,6 @@ def cmd_knot(args):
 def cmd_orbits(args):
     q = load_quandle_file(args.table)
     u = args.base_point
-    if not 0 <= u < q.size:
-        print(f"base point {u} out of range", file=sys.stderr)
-        return EXIT_USAGE
     parts = {}
     for gens in ("f", "g", "h", "fgh"):
         parts[gens] = full_partition(q, u, gens)

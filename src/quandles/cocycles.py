@@ -75,18 +75,20 @@ def cocycle_witness(quandle, coeff, values):
 
 
 class ConstantCocycle:
-    """A validated constant cocycle; ``values[x][y]`` is an element index of G."""
+    """A constant cocycle; ``values[x][y]`` is an element index of G. The
+    constructor checks its values; the library's own constructions, cocycles
+    by a theorem, pass ``_checked=True`` and skip every check."""
 
     __slots__ = ("quandle", "coeff", "values")
 
-    def __init__(self, quandle, coeff, values, *, check=True):
+    def __init__(self, quandle, coeff, values, *, _checked=False):
         values = tuple(map(tuple, values))
-        n = quandle.size
-        if len(values) != n or any(len(r) != n for r in values):
-            raise ValueError(f"values must be {n}x{n}")
-        if not all(_is_index_list(row, coeff.order) for row in values):
-            raise ValueError(f"values must be element indices 0..{coeff.order - 1}")
-        if check:
+        if not _checked:
+            n = quandle.size
+            if len(values) != n or any(len(r) != n for r in values):
+                raise ValueError(f"values must be {n}x{n}")
+            if not all(_is_index_list(row, coeff.order) for row in values):
+                raise ValueError(f"values must be element indices 0..{coeff.order - 1}")
             witness = cocycle_witness(quandle, coeff, values)
             if witness is not None:
                 raise InvalidCocycle(f"not a constant cocycle: {witness}", witness)
@@ -119,7 +121,7 @@ class ConstantCocycle:
 def trivial_cocycle(quandle, coeff):
     n = quandle.size
     e = coeff.identity
-    return ConstantCocycle(quandle, coeff, [[e] * n for _ in range(n)], check=False)
+    return ConstantCocycle(quandle, coeff, [[e] * n for _ in range(n)], _checked=True)
 
 
 def conjugate_cocycle(beta, sigma):
@@ -130,8 +132,10 @@ def conjugate_cocycle(beta, sigma):
     re-verified.
     """
     g = beta.coeff
+    if not _is_index_list((sigma,), g.order):
+        raise ValueError(f"no element {sigma}")
     values = [[g.conj(sigma, v) for v in row] for row in beta.values]
-    return ConstantCocycle(beta.quandle, g, values, check=False)
+    return ConstantCocycle(beta.quandle, g, values, _checked=True)
 
 
 def normalize(beta, u=0):
@@ -149,7 +153,7 @@ def normalize(beta, u=0):
         raise ValueError(f"base point {u} out of range")
     g = beta.coeff
     gamma = [g.inv(beta.values[q.right_divide(z, u)][u]) for z in range(q.size)]
-    return ConstantCocycle(q, g, _twist(beta, gamma), check=False)
+    return ConstantCocycle(q, g, _twist(beta, gamma), _checked=True)
 
 
 def _twist(beta, gamma):
@@ -229,7 +233,7 @@ def embed_coeffs(beta):
     """
     target, mapping = beta.coeff.regular_embedding()
     values = [[mapping[v] for v in row] for row in beta.values]
-    return ConstantCocycle(beta.quandle, target, values, check=False)
+    return ConstantCocycle(beta.quandle, target, values, _checked=True)
 
 
 class PairMaps:
@@ -248,12 +252,12 @@ class PairMaps:
     __slots__ = ("quandle", "u", "images")
 
     def __init__(self, quandle, u):
-        if not quandle.is_latin:
-            raise NotLatin("the pair bijections need a latin quandle")
         n = quandle.size
         # a negative u would index the rows from the end
         if not _is_index_list((u,), n):
             raise ValueError(f"base point {u} out of range")
+        if not quandle.is_latin:
+            raise NotLatin("the pair bijections need a latin quandle")
         self.quandle = quandle
         self.u = u
         t, xs = quandle.table, range(n)
@@ -339,7 +343,7 @@ def f_orbit_length(quandle, u, x, y):
     f = PairMaps(quandle, u).images["f"]
     n = quandle.size
     # a negative pair id would never come back: f's images are 0..n^2-1
-    if not (0 <= x < n and 0 <= y < n):
+    if not _is_index_list((x, y), n):
         raise ValueError(f"pair {(x, y)} out of range")
     start = x * n + y
     length = 1
@@ -415,7 +419,7 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     values.extend([-1] * len(shared))
 
     found = solutions(coeff, relations, values, budget=node_budget, what="cocycle")
-    return [ConstantCocycle(q, coeff, [[a[v] for v in row] for row in rows], check=False)
+    return [ConstantCocycle(q, coeff, [[a[v] for v in row] for row in rows], _checked=True)
             for a in found]
 
 
@@ -427,7 +431,9 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
     ``coeff``; the representative of each class is its lexicographically
     least table. A representative is the image of a cocycle that
     ``normalized_cocycles`` found under an automorphism of the group, so it
-    is a cocycle by construction and is not re-verified.
+    is a cocycle by construction and is not re-verified. Two conjugates of
+    a table first differ at the first occurrence of some value, so only the
+    conjugation least on the values in order of first occurrence maps it.
     """
     cocycles = normalized_cocycles(quandle, coeff, u, node_budget)
     conjugations = coeff.conjugations()
@@ -436,10 +442,12 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
     canonical = set()
     for beta in cocycles:
         flat = [v for row in beta.values for v in row]
-        canonical.add(min(tuple(map(c.__getitem__, flat)) for c in conjugations))
+        firsts = tuple(dict.fromkeys(flat))
+        least = min(conjugations, key=lambda c: tuple(map(c.__getitem__, firsts)))
+        canonical.add(tuple(map(least.__getitem__, flat)))
     return [
         ConstantCocycle(
-            quandle, coeff, [flat[x * n:(x + 1) * n] for x in range(n)], check=False
+            quandle, coeff, [flat[x * n:(x + 1) * n] for x in range(n)], _checked=True
         )
         for flat in sorted(canonical)
     ]

@@ -492,7 +492,8 @@ class CoeffGroup:
 
     def class_rep(self, a):
         """Least element of the conjugacy class of ``a``."""
-        if not 0 <= a < self.order:
+        # the _is_index_list rule, spelled out: this runs once per coloring
+        if type(a) is not int or not 0 <= a < self.order:
             raise ValueError(f"no element {a}")
         return self.conjugacy_classes()[self._classes[0][a]][0]
 

@@ -22,7 +22,6 @@ from .cocycles import (
     are_cohomologous,
     cocycle_from_json,
     cocycle_to_json,
-    cocycle_witness,
     document_field,
 )
 from .core import Quandle, _is_index_list, _isomorphic
@@ -40,33 +39,34 @@ from .search import find, union
 CONGRUENCE_SIZE_CAP = 12
 
 
-def _normalize_blocks(n, blocks):
-    blocks = [tuple(b) for b in blocks]
-    if not all(_is_index_list(b, n) for b in blocks):
-        raise ValueError(f"blocks must list points 0..{n - 1}")
-    out = tuple(sorted(tuple(sorted(set(b))) for b in blocks if b))
-    flat = [x for b in out for x in b]
-    if sorted(flat) != list(range(n)):
-        raise ValueError("blocks do not partition the point set")
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Congruence:
-    """A compatible partition of a quandle: blocks of a*b depend only on blocks."""
+    """A compatible partition of a quandle: blocks of a*b depend only on blocks.
+    The constructor checks the blocks, unless the library passes the sorted
+    blocks of a congruence it built with ``_checked=True``."""
 
     quandle: Quandle
     blocks: tuple
 
+    def __init__(self, quandle, blocks, *, _checked=False):
+        blocks = tuple(map(tuple, blocks))
+        if not _checked:
+            n = quandle.size
+            if not all(_is_index_list(b, n) for b in blocks):
+                raise ValueError(f"blocks must list points 0..{n - 1}")
+            blocks = tuple(sorted(tuple(sorted(set(b))) for b in blocks if b))
+            if sorted(x for b in blocks for x in b) != list(range(n)):
+                raise ValueError("blocks do not partition the point set")
+        object.__setattr__(self, "quandle", quandle)
+        object.__setattr__(self, "blocks", blocks)
+        witness = None if _checked else self._compatibility_witness()
+        if witness is not None:
+            raise NotCompatible(f"partition is not a congruence at {witness}")
+
     @classmethod
-    def from_blocks(cls, quandle, blocks, *, check=True):
-        blocks = _normalize_blocks(quandle.size, blocks)
-        cong = cls(quandle, blocks)
-        if check:
-            witness = cong._compatibility_witness()
-            if witness is not None:
-                raise NotCompatible(f"partition is not a congruence at {witness}")
-        return cong
+    def from_blocks(cls, quandle, blocks, *, _checked=False):
+        """The congruence with these blocks, as ``Congruence(quandle, blocks)``."""
+        return cls(quandle, blocks, _checked=_checked)
 
     @cached_property
     def block_index(self):
@@ -107,14 +107,14 @@ def ker_left_section(quandle):
     groups = {}
     for x, row in enumerate(quandle.table):
         groups.setdefault(row, []).append(x)
-    return Congruence.from_blocks(quandle, list(groups.values()), check=False)
+    return Congruence.from_blocks(quandle, list(groups.values()), _checked=True)
 
 
 def _congruence_of(quandle, parent):
     groups = {}
     for x in range(quandle.size):
         groups.setdefault(find(parent, x), []).append(x)
-    return Congruence.from_blocks(quandle, list(groups.values()), check=False)
+    return Congruence.from_blocks(quandle, list(groups.values()), _checked=True)
 
 
 def principal_congruence(quandle, a, b):
@@ -177,28 +177,35 @@ def all_congruences(quandle):
 
 
 class DynamicalCocycle:
-    """beta(x, y, s) as a permutation of the fiber, stored by image tuples."""
+    """beta(x, y, s) as a permutation of the fiber, stored by image tuples,
+    and checked like a :class:`quandles.cocycles.ConstantCocycle`."""
 
-    __slots__ = ("base_size", "fiber_size", "values")
+    __slots__ = ("quandle", "fiber_size", "values")
 
-    def __init__(self, base_size, fiber_size, values):
+    def __init__(self, quandle, fiber_size, values, *, _checked=False):
         values = tuple(tuple(tuple(map(tuple, cell)) for cell in row) for row in values)
-        if len(values) != base_size or any(
-            len(row) != base_size
-            or any(len(cell) != fiber_size for cell in row)
-            or any(len(perm) != fiber_size for cell in row for perm in cell)
-            for row in values
-        ):
-            raise ValueError("values must be base x base x fiber x fiber")
-        if not all(_is_index_list(perm, fiber_size) for row in values for cell in row
-                   for perm in cell):
-            raise ValueError(f"values must be fiber points 0..{fiber_size - 1}")
-        self.base_size = base_size
+        if not _checked:
+            n = quandle.size
+            if len(values) != n or any(
+                len(row) != n
+                or any(len(cell) != fiber_size for cell in row)
+                or any(len(perm) != fiber_size for cell in row for perm in cell)
+                for row in values
+            ):
+                raise ValueError("values must be base x base x fiber x fiber")
+            if not all(_is_index_list(perm, fiber_size) for row in values for cell in row
+                       for perm in cell):
+                raise ValueError(f"values must be fiber points 0..{fiber_size - 1}")
+            witness = dynamical_witness(quandle, fiber_size, values)
+            if witness is not None:
+                raise InvalidCocycle(f"invalid cocycle: {witness}", witness)
+        self.quandle = quandle
         self.fiber_size = fiber_size
         self.values = values
 
     def __eq__(self, other):
-        return isinstance(other, DynamicalCocycle) and self.values == other.values
+        return isinstance(other, DynamicalCocycle) and (
+            (self.quandle, self.values) == (other.quandle, other.values))
 
     def __hash__(self):
         return hash(self.values)
@@ -273,45 +280,35 @@ class Extension:
         """The fibers over the base points, a congruence of a valid extension:
         the projection is a homomorphism."""
         m = self.fiber_size
-        blocks = [
-            tuple(range(x * m, (x + 1) * m)) for x in range(self.base.size)
-        ]
-        return Congruence.from_blocks(self.total, blocks, check=False)
+        blocks = [range(x * m, (x + 1) * m) for x in range(self.base.size)]
+        return Congruence.from_blocks(self.total, blocks, _checked=True)
 
 
 def extend(quandle, cocycle):
     """Build the extension quandle; the cocycle may be constant or dynamical.
 
-    The cocycle is checked once, against ``quandle``: a constant one by
-    ``cocycle_witness``, a dynamical one by ``dynamical_witness``. These
-    agree on constant cocycles, whose lifts into Sym(S) are bijections by
-    construction, fix the diagonal iff beta(x, x) = 1 and satisfy the
-    dynamical condition iff beta satisfies the constant one. A valid cocycle
-    makes the total a quandle with the fibers as a uniform congruence, so
-    neither is re-proved.
+    The cocycle was checked when it was constructed, so it only has to live
+    on ``quandle``. A cocycle makes the total a quandle with the fibers as a
+    uniform congruence, so neither is re-proved.
     """
     if not isinstance(cocycle, (ConstantCocycle, DynamicalCocycle)):
         raise TypeError("cocycle must be a ConstantCocycle or DynamicalCocycle")
-    if len(cocycle.values) != quandle.size:
-        raise ValueError("cocycle base size does not match the quandle")
+    if cocycle.quandle != quandle:
+        raise InvalidCocycle("cocycle lives on a different quandle")
     if isinstance(cocycle, ConstantCocycle):
         coeff = cocycle.coeff
         m = coeff.points  # ValueError unless the coefficients are a symmetric group
-        witness = cocycle_witness(quandle, coeff, cocycle.values)
         table = []
         for tx, bx in zip(quandle.table, cocycle.values):
             row = [xy * m + v for xy, b in zip(tx, bx) for v in coeff.perm_images(b)]
             table += [row] * m  # (x, s)*(y, t) = (x*y, beta(x, y)(t)) for every s
     else:
         m = cocycle.fiber_size
-        witness = dynamical_witness(quandle, m, cocycle.values)
         table = [
             [xy * m + v for xy, vxy in zip(tx, vx) for v in vxy[s]]
             for tx, vx in zip(quandle.table, cocycle.values)
             for s in range(m)
         ]
-    if witness is not None:
-        raise InvalidCocycle(f"invalid cocycle: {witness}", witness)
     return Extension(
         base=quandle,
         fiber_size=m,
@@ -340,23 +337,21 @@ def quotient(quandle, congruence):
     re-checked: it is a bijection, and for a in block i and b in block j the
     total's cell at ((i, pos a), (j, pos b)) is ([r_i * r_j], pos(a*b)) for
     the block leaders r_i, r_j, with [r_i * r_j] = [a*b] by compatibility.
-    The quotient table, a homomorphic image of the quandle, is not
-    re-validated either: the one check is the compatibility of the partition.
+    Neither the quotient table, a homomorphic image of the quandle, nor the
+    rebuilt cocycle is re-validated. A ``Congruence`` was checked when it was
+    built, and a block list is checked once, by ``Congruence.from_blocks``.
     """
     if isinstance(congruence, Congruence):
         if congruence.quandle is not quandle and congruence.quandle != quandle:
             raise ValueError("congruence belongs to a different quandle")
         cong = congruence
     else:
-        cong = Congruence.from_blocks(quandle, congruence, check=False)
-    witness = cong._compatibility_witness()
-    if witness is not None:
-        raise NotCompatible(f"partition is not a congruence at {witness}")
+        cong = Congruence.from_blocks(quandle, congruence)
     if not cong.is_uniform:
         raise NotUniform("congruence blocks differ in size")
     t = quandle.table
     blocks = cong.blocks
-    m, k = len(blocks[0]), len(blocks)
+    m = len(blocks[0])
     idx = cong.block_index
     position = {x: s for block in blocks for s, x in enumerate(block)}
     qt = [[idx[t[bi[0]][bj[0]]] for bj in blocks] for bi in blocks]
@@ -365,7 +360,7 @@ def quotient(quandle, congruence):
     values = [
         [[tuple(position[t[a][b]] for b in bj) for a in bi] for bj in blocks] for bi in blocks
     ]
-    dyn = DynamicalCocycle(k, m, values)
+    dyn = DynamicalCocycle(quotient_quandle, m, values, _checked=True)
     ext = extend(quotient_quandle, dyn)
     embedding = tuple(idx[x] * m + position[x] for x in range(len(t)))
     return QuotientResult(quotient_quandle, dyn, ext, embedding)

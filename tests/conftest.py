@@ -330,6 +330,17 @@ def reference_normalized_cocycles(quandle, coeff, u=0):
     return results
 
 
+def reference_h2c(quandle, coeff, u=0):
+    """The h2c representative tables: the least image of each full
+    normalized table under every conjugation of the group."""
+    n = quandle.size
+    canonical = set()
+    for beta in q.normalized_cocycles(quandle, coeff, u):
+        flat = [v for row in beta.values for v in row]
+        canonical.add(min(tuple(map(c.__getitem__, flat)) for c in coeff.conjugations()))
+    return [tuple(flat[x * n:(x + 1) * n] for x in range(n)) for flat in sorted(canonical)]
+
+
 def reference_pair_partition(quandle, u, gens):
     """The orbits of the chosen pair maps (a subset of "fgh") on X x X, by a
     breadth-first search over pairs that evaluates the defining formulas
@@ -479,7 +490,7 @@ def lift_constant(beta):
         [tuple(coeff.perm_images(beta.values[x][y]) for _ in range(m)) for y in range(n)]
         for x in range(n)
     ]
-    return q.DynamicalCocycle(n, m, values)
+    return q.DynamicalCocycle(beta.quandle, m, values)
 
 
 @dataclass(frozen=True)

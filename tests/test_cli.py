@@ -405,7 +405,8 @@ def test_orbits_negative_base_point(capsys, table_files):
     code, out, err = run(capsys, "orbits", table_files["r3"], "-1")
     assert code == 2
     assert out == ""
-    assert "base point -1 out of range" in err
+    # one check, in PairMaps, and one message, as for h2c
+    assert err == "input error: base point -1 out of range\n"
 
 
 def test_orbits_q4_uniform_f_length(capsys, table_files):

@@ -33,6 +33,7 @@ from conftest import (
     primitive_affine,
     reference_cocycle_witness,
     reference_latin_cohomologous,
+    reference_h2c,
     reference_normalized_cocycles,
     reference_pair_partition,
     reference_weak_cocycle_check,
@@ -98,8 +99,9 @@ def test_conjugacy_classes_are_conjugation_orbits():
         assert len(g.conjugations()) == len(set(g.conjugations()))
         for cls_ in expected:
             assert all(g.class_rep(a) == cls_[0] for a in cls_)
-        for a in (-1, g.order):
-            with pytest.raises(ValueError):
+        # an element follows the index rule: 1.0 leaked a TypeError
+        for a in (-1, g.order, 1.0, True):
+            with pytest.raises(ValueError, match="no element"):
                 g.class_rep(a)
 
 
@@ -276,6 +278,11 @@ def test_conjugate_cocycle(q4):
     conj = q.conjugate_cocycle(beta, sigma)
     expected = beta_a_table(q4, s3, s3.conj(sigma, transposition))
     assert conj.values == tuple(tuple(r) for r in expected)
+    # sigma follows the index rule: -1 and true were taken as elements, 6
+    # leaked an IndexError and 1.0 a TypeError
+    for sigma in (-1, True, 6, 1.0):
+        with pytest.raises(ValueError, match="no element"):
+            q.conjugate_cocycle(beta, sigma)
 
 
 def test_cohomologous_reflexive(q4):
@@ -359,7 +366,7 @@ def test_cohomologous_checks_every_pair(q4):
             if value != twisted[x][y]:
                 table = [list(row) for row in twisted]
                 table[x][y] = value
-                broken = ConstantCocycle(q4, z22, table, check=False)
+                broken = ConstantCocycle(q4, z22, table, _checked=True)
                 assert cmod.cohomologous(beta, broken) is None, (x, y, value)
                 assert cmod.cohomologous(broken, beta) is None, (x, y, value)
 
@@ -500,8 +507,9 @@ def test_f_orbit_lengths(q4, r3):
         for y in range(4):
             if y != q4.op(x, 0):
                 assert q.f_orbit_length(q4, 0, x, y) == 3
-    # a pair outside X x X is refused; a negative pair id would never recur
-    for pair in ((-1, 0), (0, -1), (3, 0)):
+    # a pair outside X x X is refused; a negative pair id would never recur,
+    # true answered for the pair (1, 0), and 1.0 leaked a TypeError
+    for pair in ((-1, 0), (0, -1), (3, 0), (True, 0), (0, 1.0)):
         with pytest.raises(ValueError):
             q.f_orbit_length(r3, 0, *pair)
 
@@ -557,6 +565,18 @@ def test_h2c_representative_tables(q4):
     expected_trivial = tuple(tuple(r) for r in beta_a_table(q4, z2, 0))
     expected_nontrivial = tuple(tuple(r) for r in beta_a_table(q4, z2, 1))
     assert tables == {expected_trivial, expected_nontrivial}
+
+
+def test_h2c_representatives_match_reference(affine_corpus):
+    """The conjugation least on the first occurrences gives the least full
+    table, over symmetric and abelian groups, at the first and last point."""
+    groups = [CoeffGroup.symmetric(k) for k in range(2, 6)]
+    groups += [CoeffGroup.abelian(m) for m in ((2,), (3,), (4,), (2, 2), (9,), (3, 3))]
+    for name, quandle in affine_corpus:
+        for coeff in groups:
+            for u in (0, quandle.size - 1):
+                reps = [rep.values for rep in q.h2c(quandle, coeff, u)]
+                assert reps == reference_h2c(quandle, coeff, u), (name, coeff, u)
 
 
 def test_h2c_base_point_independence(r3, q4):

@@ -106,12 +106,11 @@ def test_extend_needs_symmetric_coefficients(q4):
 
 
 def test_extend_checks_each_cocycle_once(q4, monkeypatch):
-    """A constant cocycle is checked by one cocycle_witness against the given
-    quandle, a dynamical one by one dynamical_witness; the total is never
-    re-validated and the fibers are never re-checked."""
+    """A constant cocycle is checked by one cocycle_witness when it is
+    constructed, a dynamical one by one dynamical_witness; extend runs
+    neither, never re-validates the total and never re-checks the fibers,
+    so an extension document checks its cocycle once."""
     s2 = CoeffGroup.symmetric(2)
-    beta = ConstantCocycle(q4, s2, beta_a_table(q4, s2, 1))
-    dyn = lift_constant(beta)
     calls = []
 
     def counted(fn):
@@ -120,44 +119,42 @@ def test_extend_checks_each_cocycle_once(q4, monkeypatch):
     def forbidden(*args):
         raise AssertionError("re-proof of what holds by construction")
 
-    monkeypatch.setattr(cov, "cocycle_witness", counted(cocycle_witness))
+    monkeypatch.setattr(cmod, "cocycle_witness", counted(cocycle_witness))
     monkeypatch.setattr(cov, "dynamical_witness", counted(dynamical_witness))
-    monkeypatch.setattr(core, "_validate_table", forbidden)
-    monkeypatch.setattr(cov.Extension, "fiber_congruence", forbidden)
-    constant_total = extend(q4, beta).total
+    beta = ConstantCocycle(q4, s2, beta_a_table(q4, s2, 1))
     assert calls == [("cocycle_witness", q4)]
     calls.clear()
-    assert extend(q4, dyn).total == constant_total
+    dyn = lift_constant(beta)
     assert calls == [("dynamical_witness", q4)]
+    calls.clear()
+    monkeypatch.setattr(core, "_validate_table", forbidden)
+    monkeypatch.setattr(cov.Extension, "fiber_congruence", forbidden)
+    total = extend(q4, beta).total
+    assert extend(q4, dyn).total == total
+    assert calls == []
+    assert q.extension_from_json(q.extension_to_json(extend(q4, beta)), base=q4).total == total
+    assert calls == [("cocycle_witness", q4)]
 
 
 def test_nothing_is_re_proved_after_construction(
     small_affine_corpus, small_coeffs, r3, q4, monkeypatch
 ):
     """Found and normalized cocycles, coset, conjugation and quotient tables,
-    kernels and fibers hold by construction: the n^3 cocycle check, the
-    table validator and the compatibility check never run on them. A
-    quotient checks its given partition once, and the extension it rebuilds
-    checks its cocycle once."""
+    kernels, extensions and fibers hold by construction: the n^3 cocycle
+    checks, the table validator and the compatibility check never run on
+    them, and a quotient by a congruence trusts it."""
     s2, s3 = CoeffGroup.symmetric(2), CoeffGroup.symmetric(3)
-    # extend checks a constant cocycle, so the extensions are built first
-    extensions = [
-        extend(quandle, beta)
-        for quandle in (r3, q4)
-        for coeff in (s2, s3)
-        for beta in normalized_cocycles(quandle, coeff, 0)
-    ]
     g33 = q.FinAbGroup((3, 3))
     swap = q.AbHom(g33, g33, [[0, 1], [1, 0]])
     s = q.Perm.from_cycles(3, [(0, 1)])
     sym3 = q.PermGroup([s, q.Perm.from_cycles(3, [(0, 1, 2)])])
     elements = sorted(sym3.elements(), key=lambda p: p.images)
-    compatibility = Congruence._compatibility_witness
 
     def forbidden(*args):
         raise AssertionError("re-proof of what holds by construction")
 
     monkeypatch.setattr(cmod, "cocycle_witness", forbidden)
+    monkeypatch.setattr(cov, "dynamical_witness", forbidden)
     monkeypatch.setattr(core, "_validate_table", forbidden)
     monkeypatch.setattr(core, "_validate_group_table", forbidden)
     monkeypatch.setattr(Congruence, "_compatibility_witness", forbidden)
@@ -177,39 +174,31 @@ def test_nothing_is_re_proved_after_construction(
         q.Perm.from_cycles(4, [(a, b)]) for a in range(4) for b in range(a + 1, 4)
     )
     q.conjugation_quandle([q.Perm.identity(3)])
-    for ext in extensions:
-        ker_left_section(ext.total)
-        ext.fiber_congruence()
-
-    calls = []
-
-    def counted(fn):
-        return lambda *args: calls.append(fn.__name__) or fn(*args)
-
-    monkeypatch.setattr(Congruence, "_compatibility_witness", counted(compatibility))
-    monkeypatch.setattr(cov, "dynamical_witness", counted(dynamical_witness))
-    for ext in extensions:
-        calls.clear()
-        quotient(ext.total, ext.fiber_congruence())
-        assert sorted(calls) == ["_compatibility_witness", "dynamical_witness"]
+    for quandle in (r3, q4):
+        for coeff in (s2, s3):
+            for beta in normalized_cocycles(quandle, coeff, 0):
+                ext = extend(quandle, beta)
+                ker_left_section(ext.total)
+                quotient(ext.total, ext.fiber_congruence())
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_extend_checks_constant_cocycles_like_their_lift(small_affine_corpus, data):
-    """extend refuses a corrupted constant cocycle exactly when its lift into
-    Sym(S) fails the dynamical cocycle check."""
+    """The constant constructor refuses a corrupted table exactly when the
+    dynamical constructor refuses its lift into Sym(S)."""
     _, quandle = data.draw(st.sampled_from(small_affine_corpus))
     coeff = CoeffGroup.symmetric(data.draw(st.integers(2, 3)))
     beta = data.draw(st.sampled_from(normalized_cocycles(quandle, coeff, 0)))
     values = corrupt(data, beta.values, range(coeff.order))
-    beta = ConstantCocycle(quandle, coeff, values, check=False)
-    if dynamical_witness(quandle, coeff.points, lift_constant(beta).values) is None:
-        ext = extend(quandle, beta)
+    lift = outcome(lift_constant, ConstantCocycle(quandle, coeff, values, _checked=True))
+    constant = outcome(ConstantCocycle, quandle, coeff, values)
+    assert (lift[0], constant[0]) in (("value", "value"), ("raise", "raise")), (lift, constant)
+    if constant[0] == "value":
+        ext = extend(quandle, constant[1])
         assert reference_validate_table(ext.total.table) == ext.total.table
     else:
-        with pytest.raises(InvalidCocycle):
-            extend(quandle, beta)
+        assert lift[1] is InvalidCocycle and constant[1] is InvalidCocycle
 
 
 def test_constant_total_matches_its_lift(small_affine_corpus):
@@ -229,11 +218,12 @@ def test_extend_checks_against_the_given_quandle():
     source, target = build_affine("z3sq_neg"), build_affine("z3sq_8cycle")
     s3 = CoeffGroup.symmetric(3)
     beta = next(rep for rep in q.h2c(source, s3) if not rep.is_trivial())
-    assert cocycle_witness(target, s3, beta.values) == ("cocycle", (0, 1, 3))
-    assert dynamical_witness(target, 3, lift_constant(beta).values) is not None
     with pytest.raises(InvalidCocycle) as info:
-        extend(target, beta)
+        ConstantCocycle(target, s3, beta.values)
     assert info.value.witness == ("cocycle", (0, 1, 3))
+    assert dynamical_witness(target, 3, lift_constant(beta).values) is not None
+    with pytest.raises(InvalidCocycle, match="different quandle"):
+        extend(target, beta)
 
 
 def test_extend_rejects_invalid():
@@ -242,9 +232,9 @@ def test_extend_rejects_invalid():
         [[(0, 1), (0, 1)] for _ in range(3)] for _ in range(3)
     ]
     values[0][0][0] = (1, 0)
-    dyn = DynamicalCocycle(3, 2, values)
-    with pytest.raises(InvalidCocycle):
-        extend(r3, dyn)
+    with pytest.raises(InvalidCocycle) as info:
+        DynamicalCocycle(r3, 2, values)
+    assert info.value.witness == ("quandle", (0, 0))
 
 
 def checked_quotient(quandle, congruence):
@@ -296,8 +286,10 @@ def test_quotient_requires_compatible(r3, monkeypatch):
     with pytest.raises(NotCompatible):
         quotient(ext.total, blocks)
     assert len(calls) == 1  # a block list is checked once
-    with pytest.raises(NotCompatible):
-        quotient(ext.total, Congruence.from_blocks(ext.total, blocks, check=False))
+    # quotient trusts a Congruence, so no constructor builds an unchecked one
+    for build in (Congruence, Congruence.from_blocks):
+        with pytest.raises(NotCompatible):
+            build(ext.total, blocks)
 
 
 def test_congruence_blocks_must_be_point_indices():
@@ -425,7 +417,7 @@ def test_is_covering_needs_point_indices(r3, projection):
 def test_dynamical_cocycle_entries_must_be_fiber_points(cell):
     # [(0.2, 1.7), (True, 0)] was truncated to the identity and a swap
     with pytest.raises(ValueError, match="fiber points"):
-        DynamicalCocycle(1, 2, [[cell]])
+        DynamicalCocycle(q.projection_quandle(1), 2, [[cell]])
 
 
 def test_is_covering_rejects_non_homomorphism(r3):
