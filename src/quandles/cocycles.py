@@ -57,14 +57,24 @@ def cocycle_witness(quandle, coeff, values):
 
     Violations are ("diagonal", (x,)) for a nontrivial diagonal value and
     ("cocycle", (x, y, z)) for a failed cocycle instance, in lexicographic order.
+    The instances at x say that L_(x, g) is an automorphism of the extension
+    (x, g)*(y, h) = (x*y, beta(x, y) h), so, as in
+    :func:`quandles.core._validate_table`, they are checked at the quandle's
+    generating points only, |S| n^2 steps, and the first failure is the least.
     """
     n = quandle.size
     for x in range(n):
         if values[x][x] != coeff.identity:
             return ("diagonal", (x,))
+    return _cocycle_violation(quandle, coeff, values, quandle._generating_set())
+
+
+def _cocycle_violation(quandle, coeff, values, xs):
+    """The least ("cocycle", (x, y, z)) with x in ``xs``, or None."""
+    n = quandle.size
     t = quandle.table
     mul = coeff.table
-    for x in range(n):
+    for x in xs:
         tx, vx = t[x], values[x]
         for y in range(n):
             ty, vy, lr = t[y], values[y], values[tx[y]]
@@ -321,7 +331,12 @@ def full_partition(quandle, u, gens="fgh"):
     gens = "".join(sorted(set(gens)))
     if not gens or any(w not in "fgh" for w in gens):
         raise ValueError(f"generators must be a nonempty subset of 'fgh': {gens!r}")
-    maps = PairMaps(quandle, u)
+    return _pair_partition(PairMaps(quandle, u), gens)
+
+
+def _pair_partition(maps, gens):
+    """:func:`full_partition` over maps already built, for sorted ``gens``."""
+    quandle, u = maps.quandle, maps.u
     n = quandle.size
     index, blocks = orbits([maps.images[w] for w in gens], n * n)
     families = {}

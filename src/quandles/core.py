@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import permutations, product
+from itertools import permutations
+from operator import itemgetter
 
 from .abelian import AbHom, FinAbGroup
 from .errors import (
@@ -54,47 +55,101 @@ def _square_rows(table, what):
     return tuple(map(tuple, table))
 
 
+def _composers(t):
+    """Per row r, the map s -> s o r on rows, in one C call; with one point,
+    where itemgetter would return an entry, not a 1-tuple, it is the identity."""
+    return [itemgetter(*row) for row in t] if len(t) > 1 else [tuple]
+
+
+def _first_difference(left, right):
+    return next(z for z, (a, b) in enumerate(zip(left, right)) if a != b)
+
+
+def _generating_points(t):
+    """A generating set of the table's operation, greedily: each generator is
+    the least point outside the closure of the generators before it, so
+    every point below it lies in that closure. On a quandle the closure is
+    the subquandle generated, since each L_x is injective on a closed
+    finite subset, hence bijective."""
+    n = len(t)
+    columns = tuple(zip(*t))
+    inside, members, points = set(), [], []
+    for x in range(n):
+        if x in inside:
+            continue
+        points.append(x)
+        inside.add(x)
+        queue = [x]
+        # members is closed; a point joins it with its products both ways
+        while queue and len(inside) < n:
+            a = queue.pop()
+            members.append(a)
+            new = set(map(t[a].__getitem__, members))
+            new.update(map(columns[a].__getitem__, members))
+            new -= inside
+            inside |= new
+            queue.extend(new)
+    return points
+
+
+def _distributivity_violation(t, xs):
+    """The least (x, y, z) with x in ``xs`` and x*(y*z) != (x*y)*(x*z), or
+    None; row by row, as L_x L_y against L_{x*y} L_x."""
+    composers = _composers(t)
+    for x in xs:
+        tx, after_x = t[x], composers[x]
+        for y, compose in enumerate(composers):
+            left, right = compose(tx), after_x(t[tx[y]])
+            if left != right:
+                return (x, y, _first_difference(left, right))
+    return None
+
+
 def _validate_table(table):
+    """The rows of a quandle table and its :func:`_generating_points`, or the
+    :class:`AxiomError` of the least violation.
+
+    With permutation rows, the x whose L_x is an automorphism are closed
+    under the operation, as L_{x*y} = L_x L_y L_x^-1. So distributivity is
+    checked at the generators only, |S| n^2 steps; the points below the
+    first that fails are in the closure of those before it, so its least
+    violation is the least of all."""
     t = _square_rows(table, "table")
     n = len(t)
-    # left quasigroup: every row is a permutation
-    for x in range(n):
-        positions = {}
-        for y in range(n):
-            v = t[x][y]
-            if v in positions:
-                raise NotLeftQuasigroup(
-                    f"row {x} repeats value {v}", (x, positions[v], y)
-                )
-            positions[v] = y
-    # left distributivity
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            ty, txy = t[y], t[tx[y]]
-            for z in range(n):
-                if tx[ty[z]] != txy[tx[z]]:
-                    raise NotLeftDistributive(
-                        "x(yz) != (xy)(xz)", (x, y, z)
-                    )
+    # left quasigroup: every row is a permutation; a row that is not one is
+    # scanned for its first repeat
+    for x, row in enumerate(t):
+        if len(set(row)) < n:
+            positions = {}
+            for y, v in enumerate(row):
+                if v in positions:
+                    raise NotLeftQuasigroup(f"row {x} repeats value {v}", (x, positions[v], y))
+                positions[v] = y
+    generators = _generating_points(t)
+    witness = _distributivity_violation(t, generators)
+    if witness is not None:
+        raise NotLeftDistributive("x(yz) != (xy)(xz)", witness)
     # idempotence
     for x in range(n):
         if t[x][x] != x:
             raise NotIdempotent(f"{x} * {x} = {t[x][x]}", (x,))
-    return t
+    return t, generators
 
 
 class Quandle:
     """A finite quandle on points 0..n-1, with its full n x n table."""
 
-    __slots__ = ("table", "_left_section", "_division", "_latin", "_lmlt")
+    __slots__ = ("table", "_left_section", "_division", "_latin", "_lmlt", "_generators")
 
     def __init__(self, table, *, _checked=False):
-        self.table = tuple(tuple(row) for row in table) if _checked else _validate_table(table)
         self._clear_caches()
+        if _checked:
+            self.table = tuple(tuple(row) for row in table)
+        else:
+            self.table, self._generators = _validate_table(table)
 
     def _clear_caches(self):
-        self._left_section = self._division = self._latin = self._lmlt = None
+        self._left_section = self._division = self._latin = self._lmlt = self._generators = None
 
     @property
     def size(self):
@@ -136,31 +191,11 @@ class Quandle:
             raise NotLatin("right division needs a latin quandle")
         return right[y][x]
 
-    def _generating_points(self):
-        """A quandle generating set, greedily: the least point outside the
-        subquandle generated so far. Closing under the operation is enough,
-        since each L_x is injective on a closed finite subset, hence bijective."""
-        t = self.table
-        inside = [False] * self.size
-        members, points = [], []
-        for x in range(self.size):
-            if inside[x]:
-                continue
-            points.append(x)
-            inside[x] = True
-            members.append(x)
-            k = len(members) - 1
-            # members[:k] is closed; each pass closes members[:k + 1]
-            while k < len(members):
-                a = members[k]
-                ta = t[a]
-                for b in members[: k + 1]:
-                    for v in (ta[b], t[b][a]):
-                        if not inside[v]:
-                            inside[v] = True
-                            members.append(v)
-                k += 1
-        return points
+    def _generating_set(self):
+        """Cached :func:`_generating_points` of the table."""
+        if self._generators is None:
+            self._generators = _generating_points(self.table)
+        return self._generators
 
     def lmlt(self):
         """The left multiplication group, with its stabilizer chain built.
@@ -170,7 +205,7 @@ class Quandle:
         """
         if self._lmlt is None:
             rows = self.left_section
-            group = PermGroup((rows[x] for x in self._generating_points()), degree=self.size)
+            group = PermGroup((rows[x] for x in self._generating_set()), degree=self.size)
             group.chain()
             self._lmlt = group
         return self._lmlt
@@ -352,10 +387,26 @@ def _validate_group_table(table):
     for x in range(n):
         if not any(t[x][y] == identity == t[y][x] for y in range(n)):
             raise ValueError(f"element {x} has no inverse")
-    for a, b, c in product(range(n), repeat=3):
-        if t[t[a][b]][c] != t[a][t[b][c]]:
-            raise ValueError(f"group table is not associative at {(a, b, c)}")
+    # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
+    # the product; the least witness orders a first, so only a failure is
+    # scanned in full
+    if _associativity_violation(t, _generating_points(t)) is not None:
+        raise ValueError(
+            f"group table is not associative at {_associativity_violation(t, range(n))}"
+        )
     return t, identity
+
+
+def _associativity_violation(t, middles):
+    """The least (a, b, c) with b in ``middles`` and (ab)c != a(bc), or None;
+    row by row, as L_{ab} against L_a L_b."""
+    composers = _composers(t)
+    for a, ta in enumerate(t):
+        for b in middles:
+            left, right = t[ta[b]], composers[b](ta)
+            if left != right:
+                return (a, b, _first_difference(left, right))
+    return None
 
 
 # a group is tabulated in full: order**2 entries

@@ -219,7 +219,10 @@ def dynamical_witness(quandle, fiber_size, values):
 
         beta(xy, xz, beta(x,y,s)(t)) beta(x,z,s) = beta(x, yz, s) beta(y,z,t)
 
-    as an equation between fiber permutations, for all x, y, z, s, t.
+    as an equation between fiber permutations, for all x, y, z, s, t. With
+    bijective beta the extension's rows are permutations, so, as in
+    :func:`quandles.cocycles.cocycle_witness`, the condition is checked at
+    the base's generating points only, |S| n^2 m^3 steps.
     """
     n = quandle.size
     m = fiber_size
@@ -233,8 +236,14 @@ def dynamical_witness(quandle, fiber_size, values):
         for s in range(m):
             if values[x][x][s][s] != s:
                 return ("quandle", (x, s))
+    return _dynamical_violation(quandle, m, values, quandle._generating_set())
+
+
+def _dynamical_violation(quandle, m, values, xs):
+    """The least ("cocycle", (x, y, z, s, t)) with x in ``xs``, or None."""
+    n = quandle.size
     t = quandle.table
-    for x in range(n):
+    for x in xs:
         tx, vx = t[x], values[x]
         for y in range(n):
             ty, vy, vxy, vl = t[y], values[y], vx[y], values[tx[y]]

@@ -12,7 +12,9 @@ class BudgetExceeded(QuandleError):
 class AxiomError(QuandleError):
     """A table failed a quandle axiom.
 
-    ``witness`` holds the lexicographically smallest offending tuple.
+    ``witness`` holds the lexicographically smallest offending tuple. The
+    distributivity check runs at a generating set only, and its first
+    failure is still the smallest over all points.
     """
 
     def __init__(self, message, witness):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import quandles as q
+from quandles.core import _square_rows
 from quandles.errors import NotIdempotent, NotLeftDistributive, NotLeftQuasigroup
 
 # connected affine quandles of order <= 16: (name, moduli, automorphism matrix)
@@ -611,6 +612,23 @@ def reference_latin_cohomologous(beta1, beta2):
     )
 
 
+def reference_validate_group_table(table):
+    """The group axioms by the full scan: an identity, inverses, then
+    associativity at every (a, b, c) in order."""
+    t = _square_rows(table, "group table")
+    n = len(t)
+    identity = next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
+    if identity is None:
+        raise ValueError("group table has no identity")
+    for x in range(n):
+        if not any(t[x][y] == identity == t[y][x] for y in range(n)):
+            raise ValueError(f"element {x} has no inverse")
+    for a, b, c in product(range(n), repeat=3):
+        if t[t[a][b]][c] != t[a][t[b][c]]:
+            raise ValueError(f"group table is not associative at {(a, b, c)}")
+    return t, identity
+
+
 def outcome(fn, *args):
     """("value", result) or ("raise", exception type, exception args)."""
     try:
@@ -771,3 +789,18 @@ def reference_are_isomorphic(q1, q2):
         all(images[t1[x][y]] == t2[images[x]][images[y]] for x in range(n) for y in range(n))
         for images in permutations(range(n))
     )
+
+
+@st.composite
+def off_diagonal_swap(draw, rows):
+    """A copy of the square ``rows`` with two entries of one row swapped, both
+    off the diagonal. Rows that were permutations stay so and the diagonal
+    stays as it was, so a corrupted table or cocycle gets past those checks
+    to the check on a generating set. Needs three rows or more."""
+    rows = [list(row) for row in rows]
+    x = draw(st.integers(0, len(rows) - 1), label="row")
+    others = [c for c in range(len(rows)) if c != x]
+    i, j = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True),
+                label="columns")
+    rows[x][i], rows[x][j] = rows[x][j], rows[x][i]
+    return rows

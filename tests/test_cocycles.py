@@ -21,6 +21,7 @@ from quandles.cocycles import (
     normalized_cocycles,
     parse_coeff_descriptor,
 )
+from quandles.core import _validate_group_table
 from quandles.errors import BudgetExceeded, InvalidCocycle, NotLatin
 from conftest import (
     PRIMITIVE_FIELDS,
@@ -28,10 +29,12 @@ from conftest import (
     beta_a_table,
     corrupt,
     endomorphism,
+    off_diagonal_swap,
     outcome,
     pair_map_k,
     primitive_affine,
     reference_cocycle_witness,
+    reference_validate_group_table,
     reference_latin_cohomologous,
     reference_h2c,
     reference_normalized_cocycles,
@@ -824,6 +827,44 @@ def test_cocycle_verifiers_match_reference(small_affine_corpus, small_coeffs, da
     values = corrupt(data, beta.values, range(coeff.order))
     assert outcome(cocycle_witness, quandle, coeff, values) == outcome(
         reference_cocycle_witness, quandle, coeff, values
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cocycle_witness_matches_reference_past_the_diagonal(
+    small_affine_corpus, small_coeffs, data
+):
+    """A swap off the diagonal of one row of a cocycle, normalized or
+    twisted, keeps the diagonal trivial, so only the cocycle condition
+    decides: the check on a generating set accepts exactly the tables the
+    full scan accepts, and a rejected one carries the least witness."""
+    _, quandle = data.draw(st.sampled_from(small_affine_corpus))
+    _, coeff = data.draw(st.sampled_from(small_coeffs))
+    beta = data.draw(st.sampled_from(normalized_cocycles(quandle, coeff, 0)))
+    gamma = data.draw(st.lists(st.integers(0, coeff.order - 1), min_size=quandle.size,
+                               max_size=quandle.size), label="gamma")
+    values = data.draw(off_diagonal_swap(cmod._twist(beta, gamma)))
+    assert outcome(cocycle_witness, quandle, coeff, values) == outcome(
+        reference_cocycle_witness, quandle, coeff, values
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_table_validator_matches_reference(data):
+    """Light's test on a generating set accepts exactly the Cayley tables
+    the full associativity scan accepts, and a rejected table gets the
+    full scan's message."""
+    group = data.draw(st.sampled_from(
+        [CoeffGroup.symmetric(3), CoeffGroup.abelian((2, 4)), CoeffGroup.abelian((9,))]
+    ))
+    if data.draw(st.booleans(), label="swap off the diagonal"):
+        table = data.draw(off_diagonal_swap(group.table))
+    else:
+        table = corrupt(data, group.table, range(group.order))
+    assert outcome(_validate_group_table, table) == outcome(
+        reference_validate_group_table, table
     )
 
 

@@ -12,6 +12,7 @@ from conftest import (
     automorphism_order,
     corrupt,
     endomorphism,
+    off_diagonal_swap,
     outcome,
     primitive_affine,
     reference_are_isomorphic,
@@ -254,7 +255,7 @@ def check_affine_construction(quandle):
     """The axioms, the formula x + alpha(y - x) and connectivity, re-proved
     on the table that AffineQuandle builds without validating it."""
     group, alpha = quandle.group, quandle.alpha
-    assert _validate_table(quandle.table) == quandle.table
+    assert _validate_table(quandle.table)[0] == quandle.table
     elems = group.elements()
     for x, xe in enumerate(elems):
         assert [elems[v] for v in quandle.table[x]] == [
@@ -496,10 +497,41 @@ def test_random_cyclic_affine_properties(m, data):
     assert quandle.is_connected()
 
 
+def validated_rows(table):
+    return _validate_table(table)[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_validate_table_matches_reference(affine_corpus, data):
     """On corrupted tables the validator raises the reference's first violation."""
     _, quandle = data.draw(st.sampled_from(affine_corpus))
     table = corrupt(data, quandle.table, range(quandle.size))
-    assert outcome(_validate_table, table) == outcome(reference_validate_table, table)
+    assert outcome(validated_rows, table) == outcome(reference_validate_table, table)
+
+
+@pytest.fixture(scope="module")
+def swap_corpus(affine_corpus):
+    """Quandles whose generating sets differ: the affine corpus (two or three
+    points), projection quandles (every point), the transpositions of Sym(4)
+    (not latin) and the conjugation quandle of Sym(3) minus the identity,
+    with a component of 3 transpositions and one of 2 three-cycles."""
+    sym3 = sorted(q.PermGroup([q.Perm([1, 0, 2]), q.Perm([1, 2, 0])]).elements(),
+                  key=lambda p: p.images)
+    return [
+        *(quandle for _, quandle in affine_corpus),
+        *(q.projection_quandle(n) for n in (3, 4, 6)),
+        transposition_quandle(4),
+        q.conjugation_quandle(sym3[1:]),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_table_matches_reference_past_the_row_checks(swap_corpus, data):
+    """A swap off the diagonal keeps the rows permutations and the table
+    idempotent, so only distributivity decides: the check on a generating
+    set accepts exactly the tables the full scan accepts, and a rejected
+    table carries the full scan's least witness."""
+    table = data.draw(off_diagonal_swap(data.draw(st.sampled_from(swap_corpus)).table))
+    assert outcome(validated_rows, table) == outcome(reference_validate_table, table)

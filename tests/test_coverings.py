@@ -13,12 +13,16 @@ from conftest import (
     build_affine,
     corrupt,
     lift_constant,
+    off_diagonal_swap,
     outcome,
+    primitive_affine,
     reference_congruences,
+    reference_cocycle_witness,
     reference_coverings_equivalent,
     reference_dynamical_witness,
     reference_validate_table,
 )
+from quandles.cli import main
 from quandles.cocycles import (
     CoeffGroup,
     ConstantCocycle,
@@ -45,6 +49,7 @@ from quandles.errors import (
     NotCompatible,
     NotConnected,
     NotHomomorphism,
+    NotLeftDistributive,
     NotSurjective,
     NotUniform,
 )
@@ -705,3 +710,87 @@ def test_dynamical_witness_matches_reference(small_affine_corpus, data):
     assert outcome(dynamical_witness, quandle, m, values) == outcome(
         reference_dynamical_witness, quandle, m, values
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dynamical_witness_matches_reference_past_the_diagonal(small_affine_corpus, data):
+    """On the lift of a twisted cocycle with two cells off the diagonal of one
+    row swapped, every beta(x, y, s) stays a bijection and the quandle
+    condition holds, so only the cocycle condition decides: the same answer
+    and least witness as the full scan."""
+    _, quandle = data.draw(st.sampled_from(small_affine_corpus))
+    coeff = CoeffGroup.symmetric(data.draw(st.integers(2, 3)))
+    beta = data.draw(st.sampled_from(normalized_cocycles(quandle, coeff, 0)))
+    gamma = data.draw(st.lists(st.integers(0, coeff.order - 1), min_size=quandle.size,
+                               max_size=quandle.size), label="gamma")
+    twisted = ConstantCocycle(quandle, coeff, _twist(beta, gamma), _checked=True)
+    values = data.draw(off_diagonal_swap(lift_constant(twisted).values))
+    m = coeff.points
+    assert outcome(dynamical_witness, quandle, m, values) == outcome(
+        reference_dynamical_witness, quandle, m, values
+    )
+
+
+def test_accepted_input_never_enters_the_ordered_scan(
+    affine_corpus, q4, monkeypatch, tmp_path, capsys
+):
+    """Valid tables, Cayley tables and cocycles are accepted by the checks at
+    a generating set: no scan runs over every point, neither the n^3 one
+    nor the full associativity scan that a rejected Cayley table gets."""
+
+    def generators_only(scan):
+        def guarded(table, *args):
+            size = len(table) if isinstance(table, tuple) else table.size
+            if len(args[-1]) >= size:
+                raise AssertionError(f"{scan.__name__} scanned every point")
+            return scan(table, *args)
+        return guarded
+
+    for module, name in ((core, "_distributivity_violation"), (core, "_associativity_violation"),
+                         (cmod, "_cocycle_violation"), (cov, "_dynamical_violation")):
+        monkeypatch.setattr(module, name, generators_only(getattr(module, name)))
+    s3 = CoeffGroup.symmetric(3)
+    for name, quandle in affine_corpus:
+        loaded = q.quandle_from_text(q.quandle_to_text(quandle))
+        assert loaded.table == quandle.table, name
+        for beta in q.h2c(loaded, s3):
+            assert ConstantCocycle(loaded, s3, beta.values).values == beta.values, name
+            lift_constant(beta)
+    for group in (s3, CoeffGroup.abelian((2, 4)), CoeffGroup.abelian((9,))):
+        assert CoeffGroup.from_cayley(group.table).table == group.table
+    beta = next(r for r in q.h2c(q4, s3) if not r.is_trivial())
+    ext = extend(q4, beta)
+    assert q.extension_from_json(q.extension_to_json(ext)).total == ext.total
+    path = tmp_path / "aff81.txt"
+    path.write_text(q.quandle_to_text(primitive_affine(81)))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "size: 81\nquandle: yes\nlatin: yes\nconnected: yes\ndoubly transitive: yes\n"
+        "semiregular: s=80\nlmlt order: 6480\n"
+    )
+
+
+def test_least_witness_at_a_later_generator(r3):
+    """Inputs that hold at the first generating point and fail at a later
+    one: the check at the generators returns the full scan's least witness."""
+    table = [[0, 1, 2, 3], [0, 1, 2, 3], [0, 3, 2, 1], [2, 1, 0, 3]]
+    assert core._generating_points(tuple(map(tuple, table))) == [0, 1, 2]
+    for validate in (q.from_table, reference_validate_table):
+        with pytest.raises(NotLeftDistributive) as caught:
+            validate(table)
+        assert caught.value.witness == (2, 1, 0)
+    p3 = q.projection_quandle(3)
+    s3 = CoeffGroup.symmetric(3)
+    values = [[0, 3, 0], [2, 0, 4], [3, 3, 0]]
+    assert cocycle_witness(p3, s3, values) == ("cocycle", (1, 2, 0))
+    assert reference_cocycle_witness(p3, s3, values) == ("cocycle", (1, 2, 0))
+    e, t = (0, 1), (1, 0)
+    for quandle, values, witness in (
+        (r3, [[[e, e], [e, e], [e, e]], [[t, e], [e, e], [e, t]], [[t, e], [e, t], [e, e]]],
+         ("cocycle", (1, 0, 1, 0, 0))),
+        (p3, [[[e, e], [e, e], [e, e]], [[e, t], [e, e], [t, t]], [[e, e], [t, t], [e, e]]],
+         ("cocycle", (2, 1, 0, 0, 0))),
+    ):
+        assert dynamical_witness(quandle, 2, values) == witness
+        assert reference_dynamical_witness(quandle, 2, values) == witness
