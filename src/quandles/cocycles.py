@@ -378,6 +378,13 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     the rest are assigned by :func:`quandles.search.solutions`, smallest
     orbit first, with the cocycle condition propagated after every
     assignment; ``node_budget`` bounds its nodes.
+    """
+    return _tables(quandle, coeff, *_normalized_vectors(quandle, coeff, u, node_budget))
+
+
+def _normalized_vectors(quandle, coeff, u, node_budget):
+    """:func:`normalized_cocycles` in orbit coordinates: ``block[p]`` is the
+    orbit of pair id p, by least pair, and a solution has one element per orbit.
 
     The cocycle instances are collected only for x over one point of each
     cycle of L_u (row u of the table), with all y and z. That loses none:
@@ -390,26 +397,24 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     """
     if not quandle.is_latin:
         raise NotLatin("cocycle enumeration needs a latin quandle")
-    q = quandle
-    n = q.size
-    part = full_partition(q, u, "fgh")
-    blocks = part.blocks
+    n = quandle.size
+    block, pairs = orbits(PairMaps(quandle, u).images.values(), n * n)
     # one variable per orbit, numbered in branch order: smallest orbit first
-    var = [0] * len(blocks)
-    for v, i in enumerate(sorted(range(len(blocks)), key=lambda i: (len(blocks[i]), i))):
+    var = [0] * len(pairs)
+    for v, i in enumerate(sorted(range(len(pairs)), key=lambda i: (len(pairs[i]), i))):
         var[i] = v
-    blk = [var[i] for i in part.index]
-    values = [-1] * len(blocks)
+    blk = [var[i] for i in block]
+    values = [-1] * len(pairs)
     e = coeff.identity
     for x in range(n):
         for p in (x * n + x, x * n + u, u * n + x):
             values[blk[p]] = e
 
-    t = q.table
+    t = quandle.table
     rows = [blk[x * n:(x + 1) * n] for x in range(n)]
     instances = set()
     add = instances.add
-    for x, *_ in q.left_section[u].cycles(include_fixed=True):
+    for x, *_ in orbits([t[u]], n)[1]:
         tx, bx = t[x], rows[x]
         for y in range(n):
             ty, by, bxy = t[y], rows[y], rows[tx[y]]
@@ -434,8 +439,15 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
     values.extend([-1] * len(shared))
 
     found = solutions(coeff, relations, values, budget=node_budget, what="cocycle")
-    return [ConstantCocycle(q, coeff, [[a[v] for v in row] for row in rows], _checked=True)
-            for a in found]
+    return block, [tuple(map(a.__getitem__, var)) for a in found]
+
+
+def _tables(quandle, coeff, block, vectors):
+    """The cocycle of each orbit vector: cell (x, y) holds its orbit's element."""
+    n = quandle.size
+    rows = [block[x * n:(x + 1) * n] for x in range(n)]
+    return [ConstantCocycle(quandle, coeff, [[v[b] for b in row] for row in rows], _checked=True)
+            for v in vectors]
 
 
 def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
@@ -444,28 +456,21 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
     Normalized cocycles are cohomologous exactly when conjugate by a single
     group element, so classes are buckets under the conjugation maps of
     ``coeff``; the representative of each class is its lexicographically
-    least table. A representative is the image of a cocycle that
-    ``normalized_cocycles`` found under an automorphism of the group, so it
-    is a cocycle by construction and is not re-verified. Two conjugates of
-    a table first differ at the first occurrence of some value, so only the
-    conjugation least on the values in order of first occurrence maps it.
+    least table, a found cocycle's image under a group automorphism, so not
+    re-verified. Two conjugates first differ at the first occurrence of some
+    value, so only the conjugation least on the values in order of first
+    occurrence maps it. Buckets hold orbit vectors, and only representatives
+    become tables: two tables first differ at the least pair of an orbit, so
+    they compare, and list values by first occurrence, as their vectors do.
     """
-    cocycles = normalized_cocycles(quandle, coeff, u, node_budget)
+    block, vectors = _normalized_vectors(quandle, coeff, u, node_budget)
     conjugations = coeff.conjugations()
-    # tables of equal shape compare like their row-major flattenings
-    n = quandle.size
     canonical = set()
-    for beta in cocycles:
-        flat = [v for row in beta.values for v in row]
-        firsts = tuple(dict.fromkeys(flat))
+    for vector in vectors:
+        firsts = tuple(dict.fromkeys(vector))
         least = min(conjugations, key=lambda c: tuple(map(c.__getitem__, firsts)))
-        canonical.add(tuple(map(least.__getitem__, flat)))
-    return [
-        ConstantCocycle(
-            quandle, coeff, [flat[x * n:(x + 1) * n] for x in range(n)], _checked=True
-        )
-        for flat in sorted(canonical)
-    ]
+        canonical.add(tuple(map(least.__getitem__, vector)))
+    return _tables(quandle, coeff, block, sorted(canonical))
 
 
 def h2c_is_trivial(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):

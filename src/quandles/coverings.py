@@ -63,11 +63,6 @@ class Congruence:
         if witness is not None:
             raise NotCompatible(f"partition is not a congruence at {witness}")
 
-    @classmethod
-    def from_blocks(cls, quandle, blocks, *, _checked=False):
-        """The congruence with these blocks, as ``Congruence(quandle, blocks)``."""
-        return cls(quandle, blocks, _checked=_checked)
-
     @cached_property
     def block_index(self):
         table = {}
@@ -107,14 +102,14 @@ def ker_left_section(quandle):
     groups = {}
     for x, row in enumerate(quandle.table):
         groups.setdefault(row, []).append(x)
-    return Congruence.from_blocks(quandle, list(groups.values()), _checked=True)
+    return Congruence(quandle, list(groups.values()), _checked=True)
 
 
 def _congruence_of(quandle, parent):
     groups = {}
     for x in range(quandle.size):
         groups.setdefault(find(parent, x), []).append(x)
-    return Congruence.from_blocks(quandle, list(groups.values()), _checked=True)
+    return Congruence(quandle, list(groups.values()), _checked=True)
 
 
 def principal_congruence(quandle, a, b):
@@ -290,7 +285,7 @@ class Extension:
         the projection is a homomorphism."""
         m = self.fiber_size
         blocks = [range(x * m, (x + 1) * m) for x in range(self.base.size)]
-        return Congruence.from_blocks(self.total, blocks, _checked=True)
+        return Congruence(self.total, blocks, _checked=True)
 
 
 def extend(quandle, cocycle):
@@ -348,14 +343,14 @@ def quotient(quandle, congruence):
     the block leaders r_i, r_j, with [r_i * r_j] = [a*b] by compatibility.
     Neither the quotient table, a homomorphic image of the quandle, nor the
     rebuilt cocycle is re-validated. A ``Congruence`` was checked when it was
-    built, and a block list is checked once, by ``Congruence.from_blocks``.
+    built, and a block list is checked once, by the ``Congruence`` constructor.
     """
     if isinstance(congruence, Congruence):
         if congruence.quandle is not quandle and congruence.quandle != quandle:
             raise ValueError("congruence belongs to a different quandle")
         cong = congruence
     else:
-        cong = Congruence.from_blocks(quandle, congruence)
+        cong = Congruence(quandle, congruence)
     if not cong.is_uniform:
         raise NotUniform("congruence blocks differ in size")
     t = quandle.table
@@ -375,16 +370,12 @@ def quotient(quandle, congruence):
     return QuotientResult(quotient_quandle, dyn, ext, embedding)
 
 
-def extension_to_json(extension, base_ref=None):
-    """JSON form of a constant-cocycle extension: base reference, fiber
-    size, and the cocycle document."""
+def extension_to_json(extension):
+    """JSON form of a constant-cocycle extension: base table, fiber size,
+    and the cocycle document."""
     if not isinstance(extension.cocycle, ConstantCocycle):
         raise ValueError("only constant-cocycle extensions serialize")
-    if base_ref is None:
-        base_ref = {
-            "size": extension.base.size,
-            "table": [list(r) for r in extension.base.table],
-        }
+    base_ref = {"size": extension.base.size, "table": [list(r) for r in extension.base.table]}
     return {
         "base": base_ref,
         "fiber_size": extension.fiber_size,
@@ -412,24 +403,27 @@ def is_covering(total, base, projection, *, require_connected=False):
     The projection must be a surjective homomorphism. Connectivity of the
     total quandle is only enforced on request, since the canonical coset and
     trivial-extension examples have disconnected totals.
+
+    As in :func:`quandles.core._validate_table`, the homomorphism is checked
+    at the total's greedy generating set: the a with p(a*b) = p(a)*p(b) for
+    all b are closed under *, as p(a\\b) = p(a)\\p(b) for them, so the first
+    generator that fails is the least a that fails.
     """
     projection = tuple(projection)
     if len(projection) != total.size or not _is_index_list(projection, base.size):
         raise ValueError("projection must map total points to base points")
     if set(projection) != set(range(base.size)):
         raise NotSurjective("projection misses base points")
-    for a in range(total.size):
-        for b in range(total.size):
-            if projection[total.op(a, b)] != base.op(projection[a], projection[b]):
+    table = total.table
+    for a in total._generating_set():
+        ta, over = table[a], base.table[projection[a]]
+        for b, ab in enumerate(ta):
+            if projection[ab] != over[projection[b]]:
                 raise NotHomomorphism(f"projection fails at ({a}, {b})")
     if require_connected and not total.is_connected():
         raise NotConnected("total quandle is not connected")
-    rows = total.table
-    for a in range(total.size):
-        for b in range(a + 1, total.size):
-            if projection[a] == projection[b] and rows[a] != rows[b]:
-                return False
-    return True
+    rows = {}
+    return all(rows.setdefault(x, row) == row for x, row in zip(projection, table))
 
 
 def _as_covering(obj):

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import strategies as st
 
 import quandles as q
-from quandles.core import _square_rows
-from quandles.errors import NotIdempotent, NotLeftDistributive, NotLeftQuasigroup
+from quandles.core import _is_index_list, _square_rows
+from quandles.errors import (
+    NotConnected,
+    NotHomomorphism,
+    NotIdempotent,
+    NotLeftDistributive,
+    NotLeftQuasigroup,
+    NotSurjective,
+)
 
 # connected affine quandles of order <= 16: (name, moduli, automorphism matrix)
 AFFINE_CORPUS_DEFS = [
@@ -738,6 +745,28 @@ def reference_coverings_equivalent(first, second):
         return False
 
     return search(0)
+
+
+def reference_is_covering(total, base, projection, *, require_connected=False):
+    """is_covering with the homomorphism checked at every pair (a, b) and the
+    rows compared pairwise within each fiber."""
+    projection = tuple(projection)
+    if len(projection) != total.size or not _is_index_list(projection, base.size):
+        raise ValueError("projection must map total points to base points")
+    if set(projection) != set(range(base.size)):
+        raise NotSurjective("projection misses base points")
+    for a in range(total.size):
+        for b in range(total.size):
+            if projection[total.op(a, b)] != base.op(projection[a], projection[b]):
+                raise NotHomomorphism(f"projection fails at ({a}, {b})")
+    if require_connected and not total.is_connected():
+        raise NotConnected("total quandle is not connected")
+    rows = total.table
+    for a in range(total.size):
+        for b in range(a + 1, total.size):
+            if projection[a] == projection[b] and rows[a] != rows[b]:
+                return False
+    return True
 
 
 def set_partitions(n):

@@ -582,6 +582,20 @@ def test_h2c_representatives_match_reference(affine_corpus):
                 assert reps == reference_h2c(quandle, coeff, u), (name, coeff, u)
 
 
+def test_h2c_builds_tables_for_representatives_only(q4, monkeypatch):
+    """h2c buckets the cocycles as orbit vectors and builds a table for each
+    class representative only: q4 over Sym(5) has 26 normalized cocycles in
+    3 classes."""
+    s5 = CoeffGroup.symmetric(5)
+    assert len(normalized_cocycles(q4, s5)) == 26
+    built = []
+    monkeypatch.setattr(cmod, "ConstantCocycle",
+                        lambda *args, **kwargs: built.append(1) or ConstantCocycle(*args, **kwargs))
+    reps = q.h2c(q4, s5)
+    assert len(reps) == 3
+    assert len(built) == len(reps)
+
+
 def test_h2c_base_point_independence(r3, q4):
     z2 = CoeffGroup.abelian((2,))
     s2 = CoeffGroup.symmetric(2)
@@ -814,6 +828,7 @@ def test_normalized_cocycles_match_reference_on_random_affine(moduli, data):
     u = data.draw(st.integers(0, quandle.size - 1))
     found = [beta.values for beta in normalized_cocycles(quandle, coeff, u)]
     assert found == [beta.values for beta in reference_normalized_cocycles(quandle, coeff, u)]
+    assert [rep.values for rep in q.h2c(quandle, coeff, u)] == reference_h2c(quandle, coeff, u)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,6 +20,7 @@ from conftest import (
     reference_cocycle_witness,
     reference_coverings_equivalent,
     reference_dynamical_witness,
+    reference_is_covering,
     reference_validate_table,
 )
 from quandles.cli import main
@@ -291,10 +292,9 @@ def test_quotient_requires_compatible(r3, monkeypatch):
     with pytest.raises(NotCompatible):
         quotient(ext.total, blocks)
     assert len(calls) == 1  # a block list is checked once
-    # quotient trusts a Congruence, so no constructor builds an unchecked one
-    for build in (Congruence, Congruence.from_blocks):
-        with pytest.raises(NotCompatible):
-            build(ext.total, blocks)
+    # quotient trusts a Congruence, so the constructor builds no unchecked one
+    with pytest.raises(NotCompatible):
+        Congruence(ext.total, blocks)
 
 
 def test_congruence_blocks_must_be_point_indices():
@@ -303,10 +303,10 @@ def test_congruence_blocks_must_be_point_indices():
     p4 = q.projection_quandle(4)
     for blocks in ([[0.0, 1], [2, 3]], [[True, 0], [2, 3]], [[0, 1], [2, -1]], [[0, 1, 2, 4]]):
         with pytest.raises(ValueError, match="blocks must list points 0..3"):
-            Congruence.from_blocks(p4, blocks)
+            Congruence(p4, blocks)
         with pytest.raises(ValueError, match="blocks must list points 0..3"):
             quotient(p4, blocks)
-    assert Congruence.from_blocks(p4, [(1, 0), [3, 2, 2]]).blocks == ((0, 1), (2, 3))
+    assert Congruence(p4, [(1, 0), [3, 2, 2]]).blocks == ((0, 1), (2, 3))
 
 
 def checked_fibers(ext):
@@ -458,6 +458,40 @@ def test_non_constant_extension_is_not_covering(r3):
     result = checked_quotient(square, blocks)
     assert not all(len(set(cell)) == 1 for row in result.cocycle.values for cell in row)
     checked_fibers(result.extension)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_covering_matches_reference(small_affine_corpus, r3, data):
+    """On extensions of the corpus, and on products with R_3 folded onto the
+    corpus quandle, whose projections get a relabeling of the base and some
+    swaps, the check at the total's generating points gives the reference's
+    verdict, or its exception and message."""
+    _, base = data.draw(st.sampled_from(small_affine_corpus))
+    if data.draw(st.booleans(), label="product"):
+        n = base.size
+        total = q.Quandle([[base.op(a // 3, b // 3) * 3 + r3.op(a % 3, b % 3)
+                            for b in range(3 * n)] for a in range(3 * n)])
+        projection = [a // 3 for a in range(3 * n)]
+    else:
+        coeff = CoeffGroup.symmetric(data.draw(st.integers(2, 3)))
+        beta = data.draw(st.sampled_from(
+            [q.trivial_cocycle(base, coeff), *normalized_cocycles(base, coeff, 0)]))
+        ext = extend(base, beta)
+        total, projection = ext.total, list(ext.projection)
+    if data.draw(st.booleans(), label="relabel"):
+        sigma = data.draw(st.permutations(range(base.size)), label="sigma")
+        projection = [sigma[x] for x in projection]
+    for _ in range(data.draw(st.integers(0, 2), label="swaps")):
+        i, j = data.draw(st.lists(st.integers(0, total.size - 1), min_size=2, max_size=2,
+                                  unique=True), label="positions")
+        projection[i], projection[j] = projection[j], projection[i]
+    connected = data.draw(st.booleans(), label="require_connected")
+
+    def run(check):
+        return outcome(lambda: check(total, base, projection, require_connected=connected))
+
+    assert run(is_covering) == run(reference_is_covering)
 
 
 def test_coverings_equivalent_self(r3):
