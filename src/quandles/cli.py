@@ -176,7 +176,7 @@ def cmd_orbits(args):
     q = load_quandle_file(args.table)
     u = args.base_point
     maps = PairMaps(q, u)
-    parts = {gens: _pair_partition(maps, gens) for gens in ("f", "g", "h", "fgh")}
+    parts = {gens: _pair_partition(q, u, gens, maps) for gens in ("f", "g", "h", "fgh")}
     gpart = parts["g"]
     payload = {
         "base_point": u,

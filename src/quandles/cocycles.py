@@ -16,19 +16,24 @@ classes by backtracking over those orbits.
 Coefficient groups are :class:`quandles.core.CoeffGroup` Cayley tables,
 the one finite-group table type, which coset quandles share.
 
-The pair bijections are image tuples over the pair ids p = x*n + y, and
-their orbits, like the components of a quandle and the conjugacy classes
-of a coefficient group, come from :func:`quandles.perms.orbits`.
+The pair bijections are image tuples over the pair ids p = x*n + y, and the
+orbits of one or two of them, like the components of a quandle and the
+conjugacy classes of a coefficient group, come from
+:func:`quandles.perms.orbits`. The orbits of all three, which the search
+reads, come from the cycles of the left translation by the base point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
+from operator import itemgetter
 
 from .abelian import FinAbGroup
 from .core import CoeffGroup, Quandle, _is_index_list
 from .errors import InvalidCocycle, NotLatin
-from .perms import orbits
+from .perms import Perm, orbits
 from .search import find, solutions, union
 
 DEFAULT_H2C_NODE_BUDGET = 10**6
@@ -111,7 +116,8 @@ class ConstantCocycle:
         return all(row[u] == self.coeff.identity for row in self.values)
 
     def is_trivial(self):
-        return all(v == self.coeff.identity for row in self.values for v in row)
+        identity_row = (self.coeff.identity,) * self.quandle.size
+        return all(map(identity_row.__eq__, self.values))
 
     def __eq__(self, other):
         return (
@@ -246,6 +252,15 @@ def embed_coeffs(beta):
     return ConstantCocycle(beta.quandle, target, values, _checked=True)
 
 
+def _check_base_point(quandle, u):
+    """The checks of every pair-bijection routine: u is a point, since a
+    negative u would index the rows from the end, and the quandle is latin."""
+    if not _is_index_list((u,), quandle.size):
+        raise ValueError(f"base point {u} out of range")
+    if not quandle.is_latin:
+        raise NotLatin("the pair bijections need a latin quandle")
+
+
 class PairMaps:
     r"""The three cocycle-preserving bijections of X x X for a latin quandle.
 
@@ -256,18 +271,17 @@ class PairMaps:
         h: (x, y) -> ((y/(x\u))*x, y)
 
     Each map is built once, from the table rows and the division caches, as
-    the image tuple ``images[w]`` over the pair ids p = x*n + y.
+    the image tuple ``images[w]`` over the pair ids p = x*n + y. These serve
+    the partitions by one or two of the maps and :func:`f_orbit_length`;
+    the orbits of all three, which the cocycle search reads, come from
+    :func:`_fgh_orbits` without any image tuple.
     """
 
     __slots__ = ("quandle", "u", "images")
 
     def __init__(self, quandle, u):
+        _check_base_point(quandle, u)
         n = quandle.size
-        # a negative u would index the rows from the end
-        if not _is_index_list((u,), n):
-            raise ValueError(f"base point {u} out of range")
-        if not quandle.is_latin:
-            raise NotLatin("the pair bijections need a latin quandle")
         self.quandle = quandle
         self.u = u
         t, xs = quandle.table, range(n)
@@ -331,14 +345,20 @@ def full_partition(quandle, u, gens="fgh"):
     gens = "".join(sorted(set(gens)))
     if not gens or any(w not in "fgh" for w in gens):
         raise ValueError(f"generators must be a nonempty subset of 'fgh': {gens!r}")
-    return _pair_partition(PairMaps(quandle, u), gens)
+    return _pair_partition(quandle, u, gens, None if gens == "fgh" else PairMaps(quandle, u))
 
 
-def _pair_partition(maps, gens):
-    """:func:`full_partition` over maps already built, for sorted ``gens``."""
-    quandle, u = maps.quandle, maps.u
+def _pair_partition(quandle, u, gens, maps):
+    """:func:`full_partition` for sorted ``gens``: the fgh-orbits come from
+    :func:`_fgh_orbits`, the others from the images of ``maps``."""
     n = quandle.size
-    index, blocks = orbits([maps.images[w] for w in gens], n * n)
+    if gens == "fgh":
+        index, sizes, _ = _fgh_orbits(quandle, u)
+        blocks = [[] for _ in sizes]
+        for p, i in enumerate(index):
+            blocks[i].append(p)
+    else:
+        index, blocks = orbits([maps.images[w] for w in gens], n * n)
     families = {}
     if gens == "g":
         t = quandle.table
@@ -351,6 +371,58 @@ def _pair_partition(maps, gens):
         }
     blocks = tuple(tuple(divmod(p, n) for p in block) for block in blocks)
     return OrbitPartition(u, gens, blocks, index, **families)
+
+
+def _fgh_orbits(quandle, u):
+    r"""The orbits of f, g and h on X x X, read off the cycles of L_u (row u
+    of the table). Returns ``block``, the orbit of each pair id, with orbits
+    numbered by least pair; the size of each orbit; and the first point of
+    each cycle of L_u, its least, in order.
+
+    L_u is an automorphism that fixes u, so L_u(a/b) = L_u a / L_u b and
+    L_u(x\u) = (L_u x)\u: f and h commute with g = L_u x L_u, and every
+    fgh-orbit is a union of g-orbits. On the rows of a cycle C of L_u the
+    g-orbits are labeled at its first point r: (r, y) and (r, y') share one
+    iff y' = L_u^(k|C|) y, so on a cycle D, positions that agree mod
+    gcd(|C|, |D|). The label row of L_u x is that of x composed with L_u^-1.
+    Every g-orbit meets a first row, so f and h are applied there only, and
+    the g-orbits of each pair and its image are merged.
+    """
+    _check_base_point(quandle, u)
+    n = quandle.size
+    t = quandle.table
+    left_inv, cols = quandle._division_rows()  # cols[b][a] = a/b
+    cycles = Perm(t[u]).cycles(include_fixed=True)
+    # a row composed with L_u^-1; with one point, itemgetter gives an entry
+    back = itemgetter(*left_inv[u]) if n > 1 else tuple
+    labels, label_sizes = [None] * n, []
+    for cycle in cycles:
+        row = [0] * n
+        for other in cycles:
+            k, first = gcd(len(cycle), len(other)), len(label_sizes)
+            for i, y in enumerate(other):
+                row[y] = first + i % k
+            label_sizes += [len(cycle) * len(other) // k] * k
+        row = tuple(row)
+        for x in cycle:
+            labels[x] = row
+            row = back(row)
+    parent = list(range(len(label_sizes)))
+    over_u = cols[u]
+    for r, *_ in cycles:
+        tr, lr, under = t[r], labels[r], cols[left_inv[r][u]]
+        f_column = tr[u]  # f(r, y) = (r*(y/u), r*u)
+        for y in range(n):
+            union(parent, lr[y], labels[tr[over_u[y]]][f_column])
+            union(parent, lr[y], labels[t[under[y]][r]][y])  # h(r, y)
+    roots = [find(parent, i) for i in range(len(parent))]
+    flat = list(chain.from_iterable(labels))
+    number = {root: i for i, root in enumerate(dict.fromkeys(map(roots.__getitem__, flat)))}
+    orbit = [number[root] for root in roots]
+    sizes = [0] * len(number)
+    for i, size in zip(orbit, label_sizes):
+        sizes[i] += size
+    return tuple(map(orbit.__getitem__, flat)), sizes, [cycle[0] for cycle in cycles]
 
 
 def f_orbit_length(quandle, u, x, y):
@@ -386,25 +458,27 @@ def _normalized_vectors(quandle, coeff, u, node_budget):
     """:func:`normalized_cocycles` in orbit coordinates: ``block[p]`` is the
     orbit of pair id p, by least pair, and a solution has one element per orbit.
 
-    The cocycle instances are collected only for x over one point of each
-    cycle of L_u (row u of the table), with all y and z. That loses none:
-    L_u is an automorphism, so the instance at (u*x, u*y, u*z) involves the
-    g-images (u*a, u*b) of the pairs (a, b) of the one at (x, y, z), and
-    every orbit is a union of g-orbits. The instance set, and with it the
-    propagation order and the results, is the one all n^3 triples give. So
-    every solution meets the cocycle condition at all n^3 triples, and with
-    its diagonal orbits pinned it is a cocycle: it is not re-verified.
+    The orbits, their sizes and the cycles of L_u (row u of the table) come
+    from :func:`_fgh_orbits`. The cocycle instances are collected only for x
+    over the first point of each cycle of L_u other than u's own, with all y
+    and z. That loses none: L_u is an automorphism, so the instance at
+    (u*x, u*y, u*z) involves the g-images (u*a, u*b) of the pairs (a, b) of
+    the one at (x, y, z), and every orbit is a union of g-orbits; and with
+    beta(u, z) pinned to 1 the instances at x = u say only that
+    beta(u*y, u*z) = beta(y, z), which every orbit vector meets. So every
+    solution meets the cocycle condition at all n^3 triples, and with its
+    diagonal orbits pinned it is a cocycle: it is not re-verified.
     """
     if not quandle.is_latin:
         raise NotLatin("cocycle enumeration needs a latin quandle")
     n = quandle.size
-    block, pairs = orbits(PairMaps(quandle, u).images.values(), n * n)
+    block, sizes, firsts = _fgh_orbits(quandle, u)
     # one variable per orbit, numbered in branch order: smallest orbit first
-    var = [0] * len(pairs)
-    for v, i in enumerate(sorted(range(len(pairs)), key=lambda i: (len(pairs[i]), i))):
+    var = [0] * len(sizes)
+    for v, i in enumerate(sorted(range(len(sizes)), key=lambda i: (sizes[i], i))):
         var[i] = v
-    blk = [var[i] for i in block]
-    values = [-1] * len(pairs)
+    blk = list(map(var.__getitem__, block))
+    values = [-1] * len(sizes)
     e = coeff.identity
     for x in range(n):
         for p in (x * n + x, x * n + u, u * n + x):
@@ -414,7 +488,9 @@ def _normalized_vectors(quandle, coeff, u, node_budget):
     rows = [blk[x * n:(x + 1) * n] for x in range(n)]
     instances = set()
     add = instances.add
-    for x, *_ in orbits([t[u]], n)[1]:
+    for x in firsts:
+        if x == u:
+            continue
         tx, bx = t[x], rows[x]
         for y in range(n):
             ty, by, bxy = t[y], rows[y], rows[tx[y]]
@@ -454,22 +530,23 @@ def h2c(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
     """Representatives of the second constant cohomology classes.
 
     Normalized cocycles are cohomologous exactly when conjugate by a single
-    group element, so classes are buckets under the conjugation maps of
-    ``coeff``; the representative of each class is its lexicographically
-    least table, a found cocycle's image under a group automorphism, so not
-    re-verified. Two conjugates first differ at the first occurrence of some
-    value, so only the conjugation least on the values in order of first
-    occurrence maps it. Buckets hold orbit vectors, and only representatives
-    become tables: two tables first differ at the least pair of an orbit, so
-    they compare, and list values by first occurrence, as their vectors do.
+    group element, so a class is the set of conjugates of any member; the
+    representative of each class is its lexicographically least table, a
+    found cocycle's image under a group automorphism, so not re-verified.
+    The solutions are orbit vectors, and only representatives become
+    tables: two tables first differ at the least pair of an orbit, so they
+    compare as their vectors do. The first vector met of each class is
+    mapped by every conjugation, the least image is kept, and all of them
+    are marked seen, so each class is canonicalized once.
     """
     block, vectors = _normalized_vectors(quandle, coeff, u, node_budget)
     conjugations = coeff.conjugations()
-    canonical = set()
+    seen, canonical = set(), []
     for vector in vectors:
-        firsts = tuple(dict.fromkeys(vector))
-        least = min(conjugations, key=lambda c: tuple(map(c.__getitem__, firsts)))
-        canonical.add(tuple(map(least.__getitem__, vector)))
+        if vector not in seen:
+            conjugates = {tuple(map(c.__getitem__, vector)) for c in conjugations}
+            canonical.append(min(conjugates))
+            seen |= conjugates
     return _tables(quandle, coeff, block, sorted(canonical))
 
 

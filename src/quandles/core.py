@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 
 from .abelian import AbHom, FinAbGroup
@@ -37,20 +37,25 @@ MAX_ISOMORPHISM_NODES = 10**6
 
 
 def _is_index_list(values, n):
-    """True iff every entry is an int in 0..n-1; bool is an int subclass,
-    but true and false are no entries."""
-    return all(type(v) is int and 0 <= v < n for v in values)
+    """True iff every entry of the sequence is an int in 0..n-1; bool is an
+    int subclass, but true and false are no entries. It runs at C speed:
+    the entry types as a set, then the least and greatest distinct entry."""
+    if set(map(type, values)) - {int}:
+        return False
+    distinct = set(values)
+    return not distinct or (min(distinct) >= 0 and max(distinct) < n)
 
 
 def _square_rows(table, what):
-    """The rows of a nonempty n x n list of rows over 0..n-1, as tuples."""
+    """The rows of a nonempty n x n list of rows over 0..n-1, as tuples;
+    the entries are checked all at once, by :func:`_is_index_list`."""
     if not isinstance(table, (list, tuple)):
         raise ValueError(f"{what} is not a list of rows")
     n = len(table)
     if n == 0:
         raise ValueError(f"empty {what}")
-    if not all(isinstance(row, (list, tuple)) and len(row) == n and _is_index_list(row, n)
-               for row in table):
+    if not (all(isinstance(row, (list, tuple)) and len(row) == n for row in table)
+            and _is_index_list(list(chain.from_iterable(table)), n)):
         raise ValueError(f"{what} is not a square array over 0..{n - 1}")
     return tuple(map(tuple, table))
 
@@ -389,19 +394,21 @@ def _validate_group_table(table):
             raise ValueError(f"element {x} has no inverse")
     # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
     # the product; the least witness orders a first, so only a failure is
-    # scanned in full
+    # scanned in full, under a budget
     if _associativity_violation(t, _generating_points(t)) is not None:
-        raise ValueError(
-            f"group table is not associative at {_associativity_violation(t, range(n))}"
-        )
+        witness = _associativity_violation(t, range(n), MAX_ASSOCIATIVITY_STEPS)
+        raise ValueError(f"group table is not associative at {witness}")
     return t, identity
 
 
-def _associativity_violation(t, middles):
+def _associativity_violation(t, middles, budget=None):
     """The least (a, b, c) with b in ``middles`` and (ab)c != a(bc), or None;
-    row by row, as L_{ab} against L_a L_b."""
+    row by row, as L_{ab} against L_a L_b. A scan that would pass ``budget``
+    triples raises BudgetExceeded."""
     composers = _composers(t)
     for a, ta in enumerate(t):
+        if budget is not None and (a + 1) * len(middles) * len(t) > budget:
+            raise BudgetExceeded(f"associativity witness scan exceeded {budget} steps")
         for b in middles:
             left, right = t[ta[b]], composers[b](ta)
             if left != right:
@@ -411,6 +418,9 @@ def _associativity_violation(t, middles):
 
 # a group is tabulated in full: order**2 entries
 MAX_COEFF_ORDER = 2048
+# a Cayley table that fails Light's test is scanned for its least witness,
+# order**3 steps; a full scan fits up to order 464
+MAX_ASSOCIATIVITY_STEPS = 10**8
 
 # Sym(k) by k; the order cap keeps this to k <= 6, and the groups are immutable
 _SYMMETRIC = {}

@@ -1,6 +1,7 @@
 """Shared corpus of desk-scale quandles and coefficient groups."""
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -108,6 +109,34 @@ def primitive_affine(order):
     p, coeffs = PRIMITIVE_FIELDS[order]
     group = q.FinAbGroup((p,) * len(coeffs))
     return q.affine_quandle(group, companion(coeffs))
+
+
+def galkin_quandle(m, c):
+    """The Galkin quandle G(Z_m, c) on Z_3 x Z_m (Clark, Elhamdadi, Hou, Saito
+    and Yeatman, Pacific J. Math. 264, 2013), latin and not affine for m = 5
+    and 7: (x, a)*(y, b) = (2x - y, -a + mu(x-y) b + tau(x-y)) with
+    mu = (2, -1, -1) and tau = (0, 0, c). It is right-handed, so row p of the
+    table is q -> q*p; the point (x, a) is x*m + a."""
+    mu, tau = (2, -1, -1), (0, 0, c)
+
+    def star(p, r):
+        (x, a), (y, b) = divmod(p, m), divmod(r, m)
+        d = (x - y) % 3
+        return (2 * x - y) % 3 * m + (-a + mu[d] * b + tau[d]) % m
+
+    return q.from_table([[star(p, r) for p in range(3 * m)] for r in range(3 * m)])
+
+
+def relabel(quandle, seed):
+    """The quandle with its points renamed by a seeded shuffle."""
+    n = quandle.size
+    name = list(range(n))
+    random.Random(seed).shuffle(name)
+    table = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[name[x]][name[y]] = name[quandle.op(x, y)]
+    return q.Quandle(table)
 
 
 def transposition_quandle(k):
@@ -347,6 +376,12 @@ def reference_h2c(quandle, coeff, u=0):
         flat = [v for row in beta.values for v in row]
         canonical.add(min(tuple(map(c.__getitem__, flat)) for c in coeff.conjugations()))
     return [tuple(flat[x * n:(x + 1) * n] for x in range(n)) for flat in sorted(canonical)]
+
+
+def reference_fgh_blocks(quandle, u):
+    """The orbit of each pair id under the three pair maps, orbits numbered
+    by least pair, by the breadth-first orbits of their image tuples."""
+    return q.orbits(q.PairMaps(quandle, u).images.values(), quandle.size ** 2)[0]
 
 
 def reference_pair_partition(quandle, u, gens):

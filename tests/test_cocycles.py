@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from itertools import product
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import quandles as q
 import quandles.cocycles as cmod
+import quandles.core as core
 import quandles.perms as perms
 from quandles.abelian import FinAbGroup
 from quandles.cocycles import (
@@ -29,11 +31,13 @@ from conftest import (
     beta_a_table,
     corrupt,
     endomorphism,
+    galkin_quandle,
     off_diagonal_swap,
     outcome,
     pair_map_k,
     primitive_affine,
     reference_cocycle_witness,
+    reference_fgh_blocks,
     reference_validate_group_table,
     reference_latin_cohomologous,
     reference_h2c,
@@ -42,6 +46,7 @@ from conftest import (
     reference_weak_cocycle_check,
     refuse_closure,
     refuse_table,
+    relabel,
 )
 
 # a loop (quasigroup with identity) that is not a group
@@ -167,6 +172,25 @@ def test_cayley_coeff_group():
     for table in ([[0.0, 1.9], [True, 0]], 5, [[0, 1], 5]):
         with pytest.raises(ValueError):
             CoeffGroup.from_cayley(table)
+
+
+def test_associativity_witness_scan_is_budgeted(monkeypatch):
+    """A Cayley table that fails Light's test is scanned row by row for its
+    least witness, under a budget of triples. The default covers a full scan
+    at every order up to 464; past the budget the scan raises BudgetExceeded."""
+    table = [list(row) for row in CoeffGroup.abelian((6,)).table]
+    table[2][1], table[2][5] = table[2][5], table[2][1]
+    message = "group table is not associative at (1, 1, 1)"
+    assert outcome(reference_validate_group_table, table) == ("raise", ValueError, (message,))
+    assert core.MAX_ASSOCIATIVITY_STEPS >= 464**3
+    # the witness lies in row a = 1: the scan needs (a + 1) * 6 * 6 triples
+    for budget in (core.MAX_ASSOCIATIVITY_STEPS, 2 * 36):
+        monkeypatch.setattr(core, "MAX_ASSOCIATIVITY_STEPS", budget)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CoeffGroup.from_cayley(table)
+    monkeypatch.setattr(core, "MAX_ASSOCIATIVITY_STEPS", 2 * 36 - 1)
+    with pytest.raises(BudgetExceeded, match="associativity"):
+        CoeffGroup.from_cayley(table)
 
 
 def test_parse_coeff_descriptor():
@@ -459,6 +483,105 @@ def test_full_partition_matches_reference(affine_corpus):
                 assert part.blocks == expected, (name, u, gens)
                 for i, block in enumerate(part.blocks):
                     assert all(part.index[x * n + y] == i for x, y in block)
+
+
+@pytest.fixture(scope="module")
+def galkin_corpus():
+    """Galkin quandles G(Z_m, c), m in {3, 5, 7}: latin, and not affine for
+    m = 5 and 7."""
+    out = [(f"galkin({m}, {c})", galkin_quandle(m, c)) for m in (3, 5, 7) for c in range(m)]
+    for name, quandle in out:
+        assert quandle.is_latin and quandle.is_connected(), name
+    return out
+
+
+def test_fgh_orbits_match_reference(affine_corpus, galkin_corpus):
+    """The orbits read off the cycles of L_u against the breadth-first orbits
+    of the three image tuples, at every base point: on the corpus, its
+    relabelings, the Galkin quandles and the one-point quandle. The sizes
+    and the first points of the L_u cycles come along."""
+    quandles = [quandle for _, quandle in affine_corpus + galkin_corpus]
+    quandles += [relabel(quandle, seed) for seed, quandle in enumerate(quandles)]
+    quandles.append(q.projection_quandle(1))
+    for quandle in quandles:
+        n, t = quandle.size, quandle.table
+        for u in range(n):
+            block, sizes, firsts = cmod._fgh_orbits(quandle, u)
+            assert block == reference_fgh_blocks(quandle, u), (t, u)
+            assert sizes == [block.count(i) for i in range(len(sizes))], (t, u)
+            assert firsts == [cycle[0] for cycle in q.orbits([t[u]], n)[1]], (t, u)
+
+
+def test_f_and_h_commute_with_g(affine_corpus, galkin_corpus):
+    """L_u is an automorphism that fixes u, so f and h commute with
+    g = L_u x L_u, as image tuples over the pair ids."""
+    for name, quandle in affine_corpus + galkin_corpus:
+        for u in (0, quandle.size - 1):
+            images = PairMaps(quandle, u).images
+            g = images["g"]
+            for which in "fh":
+                other = images[which]
+                assert tuple(map(other.__getitem__, g)) == tuple(map(g.__getitem__, other)), (
+                    name, u, which)
+
+
+def test_h2c_least_node_budget_is_pinned():
+    """The least budget at which h2c succeeds, which is the number of search
+    nodes, on quandles with several classes. The instances at x = u are not
+    collected, and these numbers are the ones a search that collects them
+    needs too."""
+    aff = q.affine_quandle
+    q4 = aff(FinAbGroup((2, 2)), [[1, 1], [1, 0]])
+    z3sq_neg = aff(FinAbGroup((3, 3)), [[2, 0], [0, 2]])
+    z4sq = aff(FinAbGroup((4, 4)), [[0, 3], [1, 3]])
+    cases = [
+        (q4, CoeffGroup.symmetric(5), 27),
+        (q4, CoeffGroup.symmetric(4), 11),
+        (z3sq_neg, CoeffGroup.symmetric(4), 10),
+        (z3sq_neg, CoeffGroup.abelian((3, 3)), 10),
+        (z4sq, CoeffGroup.symmetric(3), 5),
+        (z4sq, CoeffGroup.abelian((2,)), 3),
+    ]
+    for quandle, coeff, nodes in cases:
+        for u in (0, quandle.size - 1):
+            assert q.h2c(quandle, coeff, u, node_budget=nodes)
+            with pytest.raises(BudgetExceeded):
+                q.h2c(quandle, coeff, u, node_budget=nodes - 1)
+
+
+def test_h2c_canonicalizes_each_class_once(q4, monkeypatch):
+    """The first cocycle met of each class is canonicalized, and all its
+    conjugates are marked seen: one minimum per class, not per cocycle."""
+    calls = []
+    monkeypatch.setattr(cmod, "min", lambda *args, **kwargs: calls.append(1) or min(*args, **kwargs),
+                        raising=False)
+    z3sq_neg = q.affine_quandle(FinAbGroup((3, 3)), [[2, 0], [0, 2]])
+    for quandle, coeff, cocycles, classes in [
+        (q4, CoeffGroup.symmetric(5), 26, 3),
+        (z3sq_neg, CoeffGroup.symmetric(4), 9, 2),
+        (z3sq_neg, CoeffGroup.abelian((3, 3)), 9, 9),
+    ]:
+        assert len(normalized_cocycles(quandle, coeff)) == cocycles
+        calls.clear()
+        assert len(q.h2c(quandle, coeff)) == classes
+        assert len(calls) == classes
+
+
+def test_galkin_cocycles_match_reference(galkin_corpus):
+    """On latin quandles that are not affine, the search over the fgh-orbits
+    gives the normalized cocycles of the n^3 reference, and h2c the least
+    table of each class."""
+    coeffs = [CoeffGroup.abelian((3,)), CoeffGroup.abelian((5,)), CoeffGroup.symmetric(3)]
+    for name, quandle in galkin_corpus:
+        if quandle.size > 15:
+            continue
+        for coeff in coeffs:
+            for u in (0, quandle.size - 1):
+                found = [beta.values for beta in normalized_cocycles(quandle, coeff, u)]
+                expected = [beta.values for beta in reference_normalized_cocycles(quandle, coeff, u)]
+                assert found == expected, (name, coeff, u)
+                reps = [rep.values for rep in q.h2c(quandle, coeff, u)]
+                assert reps == reference_h2c(quandle, coeff, u), (name, coeff, u)
 
 
 def test_homomorphic_images_are_cocycles(affine_corpus):

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, reject, settings
@@ -19,6 +18,7 @@ from conftest import (
     reference_is_doubly_transitive,
     reference_validate_table,
     refuse_table,
+    relabel,
     transposition_quandle,
 )
 from quandles.core import _validate_table
@@ -54,6 +54,18 @@ def test_r3_from_table():
 
 def test_trivial_table():
     assert q.Quandle([[0]]).size == 1
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, -1, 3, 2**70, "0", None, [0]])
+@pytest.mark.parametrize("cell", [(0, 0), (1, 2), (2, 1)])
+def test_table_entries_are_point_indices(entry, cell):
+    """An entry that is not an int in 0..n-1, a bool included, is refused
+    with one message wherever it sits."""
+    table = [list(row) for row in R3_TABLE]
+    table[cell[0]][cell[1]] = entry
+    with pytest.raises(ValueError) as info:
+        q.Quandle(table)
+    assert str(info.value) == "table is not a square array over 0..2"
 
 
 def test_not_left_quasigroup():
@@ -408,18 +420,6 @@ def test_lmlt_generators_give_the_group_of_all_rows(small_affine_corpus):
     ]
     for name, quandle in quandles:
         assert closure(quandle.lmlt().generators) == closure(quandle.left_section), name
-
-
-def relabel(quandle, seed):
-    """The quandle with its points renamed by a seeded shuffle."""
-    n = quandle.size
-    name = list(range(n))
-    random.Random(seed).shuffle(name)
-    table = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            table[name[x]][name[y]] = name[quandle.op(x, y)]
-    return q.Quandle(table)
 
 
 def test_are_isomorphic_examples(r3):
