@@ -286,19 +286,12 @@ class TensorSquare:
     base: FinAbGroup
     group: FinAbGroup
 
-    def pair_index(self, i, j):
-        return i * self.base.rank + j
-
     def pure_tensor(self, x, y):
-        """The element x (x) y, expanded biadditively over coordinates."""
+        """The element x (x) y, expanded biadditively over coordinates; pair
+        (i, j) is coordinate i*k + j."""
         x = self.base.check(x)
         y = self.base.check(y)
-        k = self.base.rank
-        return tuple(
-            (x[i] * y[j]) % self.group.moduli[self.pair_index(i, j)]
-            for i in range(k)
-            for j in range(k)
-        )
+        return tuple(a * b % d for (a, b), d in zip(product(x, y), self.group.moduli))
 
 
 def tensor_square(g):
@@ -311,10 +304,11 @@ def twisted_tensor_relators(g, alpha):
     """Generators x(x)y - y(x)alpha(x) of the twisting subgroup, on basis pairs.
 
     Biadditivity of (x, y) -> x(x)y - y(x)alpha(x) means the k^2 basis
-    instances generate the full subgroup.
+    instances generate the full subgroup. They are defined for every
+    endomorphism alpha of g; :func:`quandles.pi1.pi1_presentation` proves the rest.
     """
-    if not alpha.is_automorphism() or alpha.source != g:
-        raise ValueError("alpha must be an automorphism of the given group")
+    if alpha.source != g or alpha.target != g:
+        raise ValueError("alpha must be an endomorphism of the given group")
     square = tensor_square(g)
     basis = g.basis()
     relators = []

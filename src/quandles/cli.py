@@ -25,8 +25,8 @@ from .cocycles import (
     h2c,
     parse_coeff_descriptor,
 )
-from .core import _require_automorphism, affine_is_connected, load_quandle_file
-from .errors import AxiomError, BudgetExceeded, QuandleError
+from .core import load_quandle_file
+from .errors import AxiomError, BudgetExceeded, NotConnected, QuandleError
 from .knots import cocycle_invariant, parse_gauss
 from .coverings import is_covering
 from .pi1 import pi1_presentation
@@ -113,11 +113,11 @@ def cmd_h2c(args):
 def cmd_pi1(args):
     group = FinAbGroup.from_descriptor(args.group)
     alpha = AbHom(group, group, _json_integers(args.matrix, "matrix", nested=True))
-    _require_automorphism(group, alpha)
-    if not affine_is_connected(group, alpha):
+    try:
+        pres = pi1_presentation(group, alpha)
+    except NotConnected:
         print("not connected: 1 - alpha is not an automorphism", file=sys.stderr)
         return EXIT_NEGATIVE
-    pres = pi1_presentation(group, alpha)
     payload = {
         "group": group.descriptor(),
         "pi1": list(pres.invariants),

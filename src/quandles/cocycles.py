@@ -272,9 +272,9 @@ class PairMaps:
 
     Each map is built once, from the table rows and the division caches, as
     the image tuple ``images[w]`` over the pair ids p = x*n + y. These serve
-    the partitions by one or two of the maps and :func:`f_orbit_length`;
-    the orbits of all three, which the cocycle search reads, come from
-    :func:`_fgh_orbits` without any image tuple.
+    the partitions by one or two of the maps; the orbits of all three, which
+    the cocycle search reads, come from :func:`_fgh_orbits` without any image
+    tuple.
     """
 
     __slots__ = ("quandle", "u", "images")
@@ -426,18 +426,16 @@ def _fgh_orbits(quandle, u):
 
 
 def f_orbit_length(quandle, u, x, y):
-    """|O_f(x, y)|, by iterating f from (x, y) until it returns."""
-    f = PairMaps(quandle, u).images["f"]
-    n = quandle.size
-    # a negative pair id would never come back: f's images are 0..n^2-1
-    if not _is_index_list((x, y), n):
+    """|O_f(x, y)|, by iterating f: (x, y) -> (x*(y/u), x*u) on the table and
+    the cached division rows until it returns."""
+    _check_base_point(quandle, u)
+    # a pair outside X x X would never come back, or index rows from the end
+    if not _is_index_list((x, y), quandle.size):
         raise ValueError(f"pair {(x, y)} out of range")
-    start = x * n + y
-    length = 1
-    cur = f[start]
-    while cur != start:
-        length += 1
-        cur = f[cur]
+    t, over_u = quandle.table, quandle._division_rows()[1][u]  # over_u[b] = b/u
+    a, b, length = t[x][over_u[y]], t[x][u], 1
+    while (a, b) != (x, y):
+        a, b, length = t[a][over_u[b]], t[a][u], length + 1
     return length
 
 

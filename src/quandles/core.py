@@ -298,9 +298,9 @@ def conjugation_quandle(elements):
         index[g] = i
     table = []
     for x in elements:
-        row = []
+        row, x_inv = [], x.inverse()
         for y in elements:
-            conj = x * y * x.inverse()
+            conj = x * y * x_inv
             if conj not in index:
                 raise NotClosedUnderConjugation(
                     f"{x!r} * {y!r} * {x!r}^-1 = {conj!r} is not in the set"

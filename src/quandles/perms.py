@@ -90,9 +90,6 @@ class Perm:
                 out.append(tuple(cycle))
         return out
 
-    def order(self):
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
-
     def orbit_of(self, point):
         """The cycle of ``point``, as a set."""
         index, blocks = orbits([self.images], self.degree)

@@ -22,7 +22,7 @@ from .abelian import (
     tensor_square,
     twisted_tensor_relators,
 )
-from .core import AffineQuandle, affine_is_connected
+from .core import AffineQuandle, _require_automorphism, affine_is_connected
 from .errors import BudgetExceeded, NotConnected
 
 # largest rank of G that pi1_presentation accepts; pi1 at rank 16 with a
@@ -54,11 +54,25 @@ class Pi1Presentation:
 
 
 def pi1_presentation(group, alpha):
-    """Compute the tensor square, the twisting relators, and the quotient."""
+    """pi_1 of the connected affine quandle over (group, alpha): the tensor
+    square, the twisting relators, and the quotient.
+
+    This is the one place pi1's input is checked, cheapest first: the rank of
+    G is at most ``MAX_PI1_RANK`` before any lattice reduction
+    (``BudgetExceeded``), a matrix becomes an ``AbHom`` (``ValueError``),
+    alpha is an automorphism of G (``NotAutomorphism``), and 1 - alpha is one
+    too, so the quandle is connected (``NotConnected``).
+    """
     if group.rank > MAX_PI1_RANK:
         raise BudgetExceeded(f"pi1 needs rank <= {MAX_PI1_RANK}, got {group.descriptor()}")
     if not isinstance(alpha, AbHom):
         alpha = AbHom(group, group, alpha)
+    _require_automorphism(group, alpha)
+    if not affine_is_connected(group, alpha):
+        raise NotConnected(
+            f"affine quandle over {group.descriptor()} is not connected (1 - alpha "
+            "is not an automorphism)"
+        )
     square = tensor_square(group)
     relators = tuple(twisted_tensor_relators(group, alpha))
     subgroup = subgroup_generated(square.group, relators)
@@ -77,13 +91,7 @@ def pi1_affine(quandle):
     """Invariant factors of pi_1 of a connected affine quandle."""
     if not isinstance(quandle, AffineQuandle):
         raise TypeError("pi1_affine needs an affine quandle")
-    group, alpha = quandle.group, quandle.alpha
-    if not affine_is_connected(group, alpha):
-        raise NotConnected(
-            f"affine quandle over {group.descriptor()} is not connected (1 - alpha "
-            "is not an automorphism)"
-        )
-    return pi1_presentation(group, alpha).invariants
+    return pi1_presentation(quandle.group, quandle.alpha).invariants
 
 
 def is_simply_connected_affine(quandle):

@@ -186,6 +186,17 @@ def test_relators_z5_scaling_two():
     assert subgroup_generated(tensor_square(g).group, relators).order == 5
 
 
+def test_relators_need_only_an_endomorphism():
+    """The relators are defined for every endomorphism: doubling on Z_4 is
+    none of pi1's business here. A hom to or from another group is refused."""
+    z4 = FinAbGroup((4,))
+    # 1(x)1 - 1(x)2 = -(1(x)1) = 3 in Z_4 (x) Z_4 = Z_4
+    assert twisted_tensor_relators(z4, AbHom.scaling(z4, 2)) == [(3,)]
+    for alpha in (AbHom.scaling(FinAbGroup((5,)), 2), AbHom(z4, FinAbGroup((2,)), [[1]])):
+        with pytest.raises(ValueError):
+            twisted_tensor_relators(z4, alpha)
+
+
 def test_subgroup_generated_examples():
     g = FinAbGroup((6,))
     assert subgroup_generated(g, [(0,)]).order == 1

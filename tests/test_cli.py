@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,8 +14,14 @@ from hypothesis import strategies as st
 import quandles as q
 from quandles import knots
 from quandles.cli import main
-from quandles.cocycles import CoeffGroup, ConstantCocycle, cocycle_to_json
-from quandles.errors import InconsistentSigns, MalformedCode
+from quandles.cocycles import (
+    CoeffGroup,
+    ConstantCocycle,
+    cocycle_from_json,
+    cocycle_to_json,
+    parse_coeff_descriptor,
+)
+from quandles.errors import BudgetExceeded, InconsistentSigns, MalformedCode, QuandleError
 from quandles.knots import GAUSS_CODES
 from quandles.pi1 import MAX_PI1_RANK
 from conftest import beta_a_table, refuse_table, transposition_quandle
@@ -236,14 +243,19 @@ def test_pi1_command_builds_no_table(capsys, monkeypatch):
 
 
 def test_pi1_rank_limit(capsys):
-    k = MAX_PI1_RANK + 1
-    group = " x ".join(["Z 3"] * k)
-    minus_one = json.dumps([[2 * (i == j) for j in range(k)] for i in range(k)])
-    start = time.perf_counter()
-    code, _, err = run(capsys, "pi1", group, minus_one)
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert "budget exceeded" in err
+    """A well-formed matrix over a group of rank above the cap exits 3 before
+    any lattice reduction: -1 and the zero matrix, which is no automorphism,
+    at rank 17, and a dense seeded matrix at rank 400."""
+    rng = random.Random(1)
+    cases = [(MAX_PI1_RANK + 1, 3, lambda i, j: 2 * (i == j)), (MAX_PI1_RANK + 1, 3, lambda i, j: 0),
+             (400, 2**20, lambda i, j: rng.randrange(2**20))]
+    for k, modulus, entry in cases:
+        matrix = json.dumps([[entry(i, j) for j in range(k)] for i in range(k)])
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pi1", " x ".join([f"Z {modulus}"] * k), matrix)
+        assert time.perf_counter() - start < 1.0, k
+        assert (code, out) == (3, ""), k
+        assert err.startswith(f"budget exceeded: pi1 needs rank <= {MAX_PI1_RANK}"), k
 
 
 def test_cover_verify(capsys, tmp_path, table_files, r3):
@@ -539,3 +551,118 @@ def test_cover_map_fuzz(cover_files, data):
     ))
     argv = ["cover", "verify", "--base", base, "--total", total, "--map", text]
     assert exit_code(argv) in (0, 1, 2, 3)
+
+
+def owed_exit(parse, *args):
+    """The exit code main owes an input that ``parse`` refuses, by the error
+    it raises, or None if it parses. Any other error escapes and fails."""
+    try:
+        parse(*args)
+    except BudgetExceeded:
+        return 3
+    except (ValueError, RecursionError):
+        return 2
+    except QuandleError:
+        return 1
+    return None
+
+
+@pytest.fixture(scope="module")
+def fuzz_folder(tmp_path_factory):
+    """A folder for fuzzed input files, with R_3's table as r3.txt."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "r3.txt").write_text(q.quandle_to_text(q.dihedral_quandle(3)))
+    return folder
+
+
+# junk tokens: a float, a bool, a non-ASCII digit, a word
+junk_tokens = st.sampled_from(("1.5", "True", "\u0663", "x", "-0", "1_0"))
+
+
+@st.composite
+def table_texts(draw):
+    """A size line and n^2 entries give or take one, some out of range or junk."""
+    n = draw(st.integers(-1, 4))
+    count = max(0, n * n + draw(st.integers(-1, 1)))
+    cells = st.one_of(st.integers(-1, max(n, 1)), junk_tokens)
+    entries = draw(st.lists(cells, min_size=count, max_size=count))
+    return " ".join(map(str, [n, *entries]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=40), table_texts()))
+def test_table_text_fuzz(fuzz_folder, text):
+    """quandle_from_text raises only ValueError or a QuandleError, and
+    `check` exits as it parsed: a file that is not ASCII is an input error."""
+    owed = owed_exit(q.quandle_from_text, text) if text.isascii() else 2
+    path = fuzz_folder / "table.txt"
+    path.write_text(text, encoding="utf-8")
+    assert exit_code(["check", str(path)]) == (owed or 0), text
+
+
+coeff_descriptors = st.one_of(
+    st.text(max_size=20),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(("Sym(", "sym ", "S", "s", "Z", "Z ", "z", "trivial", "")),
+        st.one_of(st.integers(-2, 9), st.just(10**6), junk_tokens),
+        st.sampled_from(("", ")", " x Z 2", " x ", "x Z3", " X Z 2")),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_descriptors)
+def test_coeff_descriptor_fuzz(fuzz_folder, text):
+    """parse_coeff_descriptor raises only ValueError or BudgetExceeded, and
+    `h2c` exits as it parsed; a parsed group ends in success or a budget stop."""
+    owed = owed_exit(parse_coeff_descriptor, text)
+    code = exit_code(["h2c", str(fuzz_folder / "r3.txt"), text])
+    assert code in ((owed,) if owed else (0, 3)), text
+
+
+# any JSON value, nested a few levels
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+R3_TABLE = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+
+
+@st.composite
+def cocycle_documents(draw):
+    """Cocycle documents over R_3 and Sym(2), some well-formed, some with a
+    key missing, a wrong shape, a foreign label or a junk value."""
+    n = draw(st.integers(2, 4))
+    cells = st.one_of(st.sampled_from(("[0,1]", "[1,0]", "(1)")), json_values)
+    document = {
+        "quandle": draw(st.one_of(st.just({"table": R3_TABLE}), json_values)),
+        "coeff": draw(st.one_of(st.sampled_from(("Sym2", "Z2", "S1")), json_values)),
+        "values": draw(st.one_of(
+            st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n),
+            json_values,
+        )),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(document)), max_size=1)):
+        del document[key]
+    return document
+
+
+@settings(max_examples=200, deadline=None)
+@given(cocycle_documents(), st.one_of(st.integers(1, 3), json_values))
+def test_cocycle_document_fuzz(fuzz_folder, document, fiber_size):
+    """cocycle_from_json and extension_from_json raise only ValueError or a
+    QuandleError, and `knot invariant --cocycle` exits as the cocycle parsed
+    over R_3 and Sym(2)."""
+    # the library parsers alone: an error other than the documented ones escapes
+    owed_exit(cocycle_from_json, document)
+    owed_exit(q.extension_from_json,
+              {"base": {"table": R3_TABLE}, "fiber_size": fiber_size, "cocycle": document})
+    owed = owed_exit(cocycle_from_json, document, q.dihedral_quandle(3), CoeffGroup.symmetric(2))
+    path = fuzz_folder / "cocycle.json"
+    path.write_text(json.dumps(document))
+    argv = ["knot", "invariant", "--quandle", str(fuzz_folder / "r3.txt"), "--coeff", "Sym2",
+            "--cocycle", str(path), "--gauss", GAUSS_CODES["trefoil_right"]]
+    assert exit_code(argv) in ((owed,) if owed else (0, 3)), document

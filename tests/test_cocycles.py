@@ -512,6 +512,21 @@ def test_fgh_orbits_match_reference(affine_corpus, galkin_corpus):
             assert firsts == [cycle[0] for cycle in q.orbits([t[u]], n)[1]], (t, u)
 
 
+def test_galkin_h2c_counts_hom_classes(galkin_corpus):
+    """h2c on the first latin corpus that is not affine, against the reference
+    tables, with pi1 = Z_m: the classes are Hom(Z_m, G) up to conjugacy,
+    gcd(m, p) of them over Z_p, and over Sym(3) the trivial one and, at m = 3,
+    the 3-cycles."""
+    groups = [(CoeffGroup.abelian((p,)), p) for p in (2, 3, 5, 7)]
+    groups.append((CoeffGroup.symmetric(3), None))
+    for name, quandle in galkin_corpus:
+        m = quandle.size // 3
+        for coeff, p in groups:
+            reps = [rep.values for rep in q.h2c(quandle, coeff)]
+            assert reps == reference_h2c(quandle, coeff), (name, coeff)
+            assert len(reps) == (math.gcd(m, p) if p else 1 + (m == 3)), (name, coeff)
+
+
 def test_f_and_h_commute_with_g(affine_corpus, galkin_corpus):
     """L_u is an automorphism that fixes u, so f and h commute with
     g = L_u x L_u, as image tuples over the pair ids."""

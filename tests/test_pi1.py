@@ -16,7 +16,7 @@ from conftest import (
     least_coset_reps,
     refuse_table,
 )
-from quandles.errors import BudgetExceeded, NotConnected
+from quandles.errors import BudgetExceeded, NotAutomorphism, NotConnected
 from quandles.pi1 import MAX_PI1_RANK, pi1_presentation
 
 
@@ -80,8 +80,42 @@ def test_pi1_rank_limit():
     group = q.FinAbGroup((3,) * (MAX_PI1_RANK + 1))
     minus_one = q.AbHom.scaling(group, -1)
     assert q.affine_is_connected(group, minus_one)
-    with pytest.raises(BudgetExceeded):
-        pi1_presentation(group, minus_one)
+    # the rank comes first: the zero matrix, no automorphism, is over budget too
+    for alpha in (minus_one, q.AbHom.scaling(group, 0)):
+        with pytest.raises(BudgetExceeded):
+            pi1_presentation(group, alpha)
+
+
+def test_pi1_presentation_checks_its_input():
+    """pi1_presentation checks the matrix, then automorphism, then
+    connectivity, so it refuses what pi1_affine and the CLI refuse: the projection quandle
+    over Z_5 is not connected, and doubling on Z_4 is no automorphism."""
+    z4, z5 = q.FinAbGroup((4,)), q.FinAbGroup((5,))
+    with pytest.raises(NotConnected):
+        pi1_presentation(z5, [[1]])
+    with pytest.raises(NotAutomorphism):
+        pi1_presentation(z4, [[2]])
+    with pytest.raises(NotAutomorphism):
+        pi1_presentation(z4, q.AbHom.scaling(z5, 2))
+    with pytest.raises(ValueError):
+        pi1_presentation(z4, [[2, 1]])
+
+
+def test_pi1_affine_reduces_four_lattices(q4, monkeypatch):
+    """One pi1_affine call makes four lattice reductions: the automorphism
+    proof of the quandle, the two proofs in pi1_presentation, and the
+    relator subgroup."""
+    calls = []
+    reduce = q.subgroup_generated
+
+    def counted(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr("quandles.abelian.subgroup_generated", counted)
+    monkeypatch.setattr("quandles.pi1.subgroup_generated", counted)
+    assert q.pi1_affine(q.affine_quandle(q4.group, q4.alpha)) == (2,)
+    assert len(calls) == 4
 
 
 def test_coset_rep_matches_enumeration(affine_corpus):
