@@ -11,7 +11,11 @@ beta'(x, y) = gamma(x*y) beta(x, y) gamma(y)^-1; the classes form the second
 constant cohomology set. On latin quandles every class contains normalized
 representatives (beta(x, u) = 1 for a base point u), which are constant on
 the orbits of three explicit bijections of X x X; :func:`h2c` enumerates the
-classes by backtracking over those orbits.
+classes by backtracking over those orbits. The orbits that hold a pair
+(x, x), (x, u) or (u, x) are pinned to 1 and share one variable; the
+relations are the cocycle instances at x in the generating set other than
+u, which suffice as in :func:`cocycle_witness`; with no free orbit there
+are none.
 
 Coefficient groups are :class:`quandles.core.CoeffGroup` Cayley tables,
 the one finite-group table type, which coset quandles share.
@@ -353,7 +357,7 @@ def _pair_partition(quandle, u, gens, maps):
     :func:`_fgh_orbits`, the others from the images of ``maps``."""
     n = quandle.size
     if gens == "fgh":
-        index, sizes, _ = _fgh_orbits(quandle, u)
+        index, sizes = _fgh_orbits(quandle, u)
         blocks = [[] for _ in sizes]
         for p, i in enumerate(index):
             blocks[i].append(p)
@@ -376,8 +380,7 @@ def _pair_partition(quandle, u, gens, maps):
 def _fgh_orbits(quandle, u):
     r"""The orbits of f, g and h on X x X, read off the cycles of L_u (row u
     of the table). Returns ``block``, the orbit of each pair id, with orbits
-    numbered by least pair; the size of each orbit; and the first point of
-    each cycle of L_u, its least, in order.
+    numbered by least pair, and the size of each orbit.
 
     L_u is an automorphism that fixes u, so L_u(a/b) = L_u a / L_u b and
     L_u(x\u) = (L_u x)\u: f and h commute with g = L_u x L_u, and every
@@ -422,7 +425,7 @@ def _fgh_orbits(quandle, u):
     sizes = [0] * len(number)
     for i, size in zip(orbit, label_sizes):
         sizes[i] += size
-    return tuple(map(orbit.__getitem__, flat)), sizes, [cycle[0] for cycle in cycles]
+    return tuple(map(orbit.__getitem__, flat)), sizes
 
 
 def f_orbit_length(quandle, u, x, y):
@@ -444,10 +447,12 @@ def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET
 
     Every u-normalized cocycle is constant on the orbits of the three pair
     bijections, so the unknowns are one group element per orbit. Orbits
-    containing a pair (x, u), (u, x) or (x, x) are pinned to the identity;
-    the rest are assigned by :func:`quandles.search.solutions`, smallest
-    orbit first, with the cocycle condition propagated after every
-    assignment; ``node_budget`` bounds its nodes.
+    containing a pair (x, u), (u, x) or (x, x) are pinned to the identity,
+    all in one variable; the free rest are assigned by
+    :func:`quandles.search.solutions`, smallest orbit first, with the cocycle
+    instances at the generating points other than u propagated after every
+    assignment. With no free orbit there is no instance, and the search
+    counts its root only; ``node_budget`` bounds its nodes.
     """
     return _tables(quandle, coeff, *_normalized_vectors(quandle, coeff, u, node_budget))
 
@@ -456,44 +461,41 @@ def _normalized_vectors(quandle, coeff, u, node_budget):
     """:func:`normalized_cocycles` in orbit coordinates: ``block[p]`` is the
     orbit of pair id p, by least pair, and a solution has one element per orbit.
 
-    The orbits, their sizes and the cycles of L_u (row u of the table) come
-    from :func:`_fgh_orbits`. The cocycle instances are collected only for x
-    over the first point of each cycle of L_u other than u's own, with all y
-    and z. That loses none: L_u is an automorphism, so the instance at
-    (u*x, u*y, u*z) involves the g-images (u*a, u*b) of the pairs (a, b) of
-    the one at (x, y, z), and every orbit is a union of g-orbits; and with
-    beta(u, z) pinned to 1 the instances at x = u say only that
-    beta(u*y, u*z) = beta(y, z), which every orbit vector meets. So every
-    solution meets the cocycle condition at all n^3 triples, and with its
-    diagonal orbits pinned it is a cocycle: it is not re-verified.
+    The orbits and their sizes come from :func:`_fgh_orbits`. Every pinned
+    orbit holds e, so they all share one variable, and the instances dedupe
+    in it. The cocycle instances are collected only for x in the quandle's
+    generating set S other than u, with all y and z, by the argument of
+    :func:`cocycle_witness`: the x at which they hold are closed under the
+    operation, as L_(x*y) = L_x L_y L_x^-1, and include u, where with
+    beta(u, z) pinned to e they say only that beta(u*y, u*z) = beta(y, z),
+    which every orbit vector meets. So every solution meets the cocycle
+    condition at all n^3 triples, and with its diagonal orbits pinned it is a
+    cocycle: it is not re-verified. With no free orbit nothing is collected,
+    and the search only counts its root.
     """
     if not quandle.is_latin:
         raise NotLatin("cocycle enumeration needs a latin quandle")
     n = quandle.size
-    block, sizes, firsts = _fgh_orbits(quandle, u)
-    # one variable per orbit, numbered in branch order: smallest orbit first
+    block, sizes = _fgh_orbits(quandle, u)
+    pinned = {block[p] for x in range(n) for p in (x * n + x, x * n + u, u * n + x)}
+    # variable 0 is e; the free orbits follow in branch order, smallest first
+    free = sorted(set(range(len(sizes))) - pinned, key=lambda i: (sizes[i], i))
     var = [0] * len(sizes)
-    for v, i in enumerate(sorted(range(len(sizes)), key=lambda i: (sizes[i], i))):
+    for v, i in enumerate(free, 1):
         var[i] = v
-    blk = list(map(var.__getitem__, block))
-    values = [-1] * len(sizes)
-    e = coeff.identity
-    for x in range(n):
-        for p in (x * n + x, x * n + u, u * n + x):
-            values[blk[p]] = e
+    values = [coeff.identity] + [-1] * len(free)
 
-    t = quandle.table
-    rows = [blk[x * n:(x + 1) * n] for x in range(n)]
     instances = set()
-    add = instances.add
-    for x in firsts:
-        if x == u:
-            continue
-        tx, bx = t[x], rows[x]
-        for y in range(n):
-            ty, by, bxy = t[y], rows[y], rows[tx[y]]
-            for z in range(n):
-                add((bxy[tx[z]], bx[z], bx[ty[z]], by[z]))
+    if free:  # then n >= 3, and itemgetter gives tuples
+        t = quandle.table
+        blk = list(map(var.__getitem__, block))
+        rows = [blk[x * n:(x + 1) * n] for x in range(n)]
+        permute = [itemgetter(*row) for row in t]
+        for x in quandle._generating_set():
+            if x != u:
+                tx, bx, px = t[x], rows[x], permute[x]
+                for y in range(n):  # the instances at (x, y, z) for every z
+                    instances.update(zip(px(rows[tx[y]]), bx, permute[y](bx), rows[y]))
 
     # an instance beta(a) beta(b) = beta(c) beta(d) equates two products;
     # the products it equates, directly or through others, share one

@@ -377,10 +377,14 @@ def dihedral_quandle(m):
 
 
 def affine_is_connected(group, alpha):
-    """Connectivity test for affine quandles: 1 - alpha is an automorphism."""
+    """Connectivity test for affine quandles: 1 - alpha is an automorphism.
+    It is built as one ``AbHom``, with entries delta_ij - alpha_ij."""
     if not isinstance(alpha, AbHom):
         alpha = AbHom(group, group, alpha)
-    return (AbHom.identity(group) - alpha).is_automorphism()
+    elif alpha.source != group or alpha.target != group:
+        raise ValueError("homomorphisms must share source and target")
+    one_minus = [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(alpha.matrix)]
+    return AbHom(group, group, one_minus).is_automorphism()
 
 
 def _validate_group_table(table):

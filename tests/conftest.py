@@ -9,8 +9,10 @@ import pytest
 from hypothesis import strategies as st
 
 import quandles as q
+from quandles import search
 from quandles.core import _is_index_list, _square_rows
 from quandles.errors import (
+    BudgetExceeded,
     NotConnected,
     NotHomomorphism,
     NotIdempotent,
@@ -97,6 +99,7 @@ def companion(coeffs):
 # Aff(F_q, omega) with omega primitive: q -> (p, coefficients of omega's
 # minimal polynomial for ``companion``)
 PRIMITIVE_FIELDS = {
+    25: (5, [3, 1]),  # x^2 - x - 3 over F_5
     27: (3, [2, 0, 1]),  # x^3 - x^2 - 2 over F_3
     32: (2, [1, 0, 1, 0, 0]),  # x^5 + x^2 + 1 over F_2
     49: (7, [2, 2]),  # x^2 - 2x - 2 over F_7
@@ -382,6 +385,66 @@ def reference_fgh_blocks(quandle, u):
     """The orbit of each pair id under the three pair maps, orbits numbered
     by least pair, by the breadth-first orbits of their image tuples."""
     return q.orbits(q.PairMaps(quandle, u).images.values(), quandle.size ** 2)[0]
+
+
+def reference_normalized_vectors(quandle, coeff, u, node_budget):
+    """The orbit block and vectors of ``cocycles._normalized_vectors`` by its
+    earlier instance build: one variable per orbit, pinned ones included, and
+    the instances collected at every x != u with all y and z, on the orbits
+    of ``reference_fgh_blocks``, then the same product union-find and search."""
+    n, t = quandle.size, quandle.table
+    block = reference_fgh_blocks(quandle, u)
+    sizes = [block.count(i) for i in range(max(block) + 1)]
+    var = [0] * len(sizes)
+    for v, i in enumerate(sorted(range(len(sizes)), key=lambda i: (sizes[i], i))):
+        var[i] = v
+    blk = [var[i] for i in block]
+    values = [-1] * len(sizes)
+    for x in range(n):
+        for p in (x * n + x, x * n + u, u * n + x):
+            values[blk[p]] = coeff.identity
+    instances = {
+        (blk[t[x][y] * n + t[x][z]], blk[x * n + z], blk[x * n + t[y][z]], blk[y * n + z])
+        for x in range(n) if x != u for y in range(n) for z in range(n)
+    }
+    products = {}
+    for a, b, c, d in instances:
+        products.setdefault((a, b), len(products))
+        products.setdefault((c, d), len(products))
+    parent = list(range(len(products)))
+    for a, b, c, d in instances:
+        search.union(parent, products[a, b], products[c, d])
+    shared = {}
+    relations = [
+        (shared.setdefault(search.find(parent, i), len(values) + len(shared)), a, b)
+        for (a, b), i in products.items()
+    ]
+    values.extend([-1] * len(shared))
+    found = search.solutions(coeff, relations, values, budget=node_budget, what="cocycle")
+    return block, [tuple(a[v] for v in var) for a in found]
+
+
+def least_budget(fn):
+    """The least node budget at which ``fn(budget)`` raises no BudgetExceeded,
+    by doubling and then bisection."""
+    def succeeds(budget):
+        try:
+            fn(budget)
+        except BudgetExceeded:
+            return False
+        return True
+
+    high = 1
+    while not succeeds(high):
+        high *= 2
+    low = high // 2  # fn(low) raised, or low is 0
+    while low < high:
+        mid = (low + high) // 2
+        if succeeds(mid):
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
 
 def reference_pair_partition(quandle, u, gens):

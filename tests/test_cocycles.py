@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+from functools import partial
 from itertools import product
 
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     corrupt,
     endomorphism,
     galkin_quandle,
+    least_budget,
     off_diagonal_swap,
     outcome,
     pair_map_k,
@@ -42,6 +44,7 @@ from conftest import (
     reference_latin_cohomologous,
     reference_h2c,
     reference_normalized_cocycles,
+    reference_normalized_vectors,
     reference_pair_partition,
     reference_weak_cocycle_check,
     refuse_closure,
@@ -499,17 +502,39 @@ def test_fgh_orbits_match_reference(affine_corpus, galkin_corpus):
     """The orbits read off the cycles of L_u against the breadth-first orbits
     of the three image tuples, at every base point: on the corpus, its
     relabelings, the Galkin quandles and the one-point quandle. The sizes
-    and the first points of the L_u cycles come along."""
+    come along."""
     quandles = [quandle for _, quandle in affine_corpus + galkin_corpus]
     quandles += [relabel(quandle, seed) for seed, quandle in enumerate(quandles)]
     quandles.append(q.projection_quandle(1))
     for quandle in quandles:
-        n, t = quandle.size, quandle.table
-        for u in range(n):
-            block, sizes, firsts = cmod._fgh_orbits(quandle, u)
+        t = quandle.table
+        for u in range(quandle.size):
+            block, sizes = cmod._fgh_orbits(quandle, u)
             assert block == reference_fgh_blocks(quandle, u), (t, u)
             assert sizes == [block.count(i) for i in range(len(sizes))], (t, u)
-            assert firsts == [cycle[0] for cycle in q.orbits([t[u]], n)[1]], (t, u)
+
+
+def test_normalized_vectors_match_every_x_reference(affine_corpus, galkin_corpus):
+    """The instances at x in S \\ {u}, with every pinned orbit in one variable,
+    give the block, the vectors and the least node budget of the instances at
+    every x != u with one variable per orbit: on the corpus, its relabelings,
+    the Galkin quandles and the one-point quandle, at a base point in the
+    generating set S and at one outside it."""
+    quandles = [quandle for _, quandle in affine_corpus + galkin_corpus]
+    quandles += [relabel(quandle, seed) for seed, quandle in enumerate(quandles)]
+    quandles.append(q.projection_quandle(1))
+    coeffs = [CoeffGroup.abelian((2,)), CoeffGroup.abelian((3,)), CoeffGroup.symmetric(3)]
+    for quandle in quandles:
+        gens = quandle._generating_set()
+        outside = [u for u in range(quandle.size) if u not in gens]
+        for u in [gens[-1]] + outside[:1]:
+            for coeff in coeffs:
+                vectors = partial(cmod._normalized_vectors, quandle, coeff, u)
+                expected = partial(reference_normalized_vectors, quandle, coeff, u)
+                nodes = least_budget(vectors)
+                assert vectors(nodes) == expected(nodes), (quandle.table, u, coeff)
+                with pytest.raises(BudgetExceeded):
+                    expected(nodes - 1)
 
 
 def test_galkin_h2c_counts_hom_classes(galkin_corpus):
@@ -542,24 +567,31 @@ def test_f_and_h_commute_with_g(affine_corpus, galkin_corpus):
 
 def test_h2c_least_node_budget_is_pinned():
     """The least budget at which h2c succeeds, which is the number of search
-    nodes, on quandles with several classes. The instances at x = u are not
-    collected, and these numbers are the ones a search that collects them
-    needs too."""
+    nodes, and the number of classes, on quandles with several classes. The
+    instances are collected at the generating points other than u only, and
+    these numbers are the ones a search that collects them at every x needs
+    too. Q(Z_5^2, -1) and G(Z_5, 1) have the heaviest instance builds."""
     aff = q.affine_quandle
     q4 = aff(FinAbGroup((2, 2)), [[1, 1], [1, 0]])
     z3sq_neg = aff(FinAbGroup((3, 3)), [[2, 0], [0, 2]])
     z4sq = aff(FinAbGroup((4, 4)), [[0, 3], [1, 3]])
+    z5sq_neg = aff(FinAbGroup((5, 5)), [[4, 0], [0, 4]])
+    galkin_5_1 = galkin_quandle(5, 1)
     cases = [
-        (q4, CoeffGroup.symmetric(5), 27),
-        (q4, CoeffGroup.symmetric(4), 11),
-        (z3sq_neg, CoeffGroup.symmetric(4), 10),
-        (z3sq_neg, CoeffGroup.abelian((3, 3)), 10),
-        (z4sq, CoeffGroup.symmetric(3), 5),
-        (z4sq, CoeffGroup.abelian((2,)), 3),
+        (q4, CoeffGroup.symmetric(5), 27, 3),
+        (q4, CoeffGroup.symmetric(4), 11, 3),
+        (z3sq_neg, CoeffGroup.symmetric(4), 10, 2),
+        (z3sq_neg, CoeffGroup.abelian((3, 3)), 10, 9),
+        (z4sq, CoeffGroup.symmetric(3), 5, 2),
+        (z4sq, CoeffGroup.abelian((2,)), 3, 2),
+        (z5sq_neg, CoeffGroup.abelian((5,)), 6, 5),
+        (galkin_5_1, CoeffGroup.abelian((5,)), 6, 5),
+        (z5sq_neg, CoeffGroup.symmetric(5), 26, 2),
+        (galkin_5_1, CoeffGroup.symmetric(5), 26, 2),
     ]
-    for quandle, coeff, nodes in cases:
+    for quandle, coeff, nodes, classes in cases:
         for u in (0, quandle.size - 1):
-            assert q.h2c(quandle, coeff, u, node_budget=nodes)
+            assert len(q.h2c(quandle, coeff, u, node_budget=nodes)) == classes
             with pytest.raises(BudgetExceeded):
                 q.h2c(quandle, coeff, u, node_budget=nodes - 1)
 
@@ -750,6 +782,28 @@ def test_h2c_refuses_non_latin():
 def test_h2c_budget():
     with pytest.raises(BudgetExceeded):
         q.h2c(q.dihedral_quandle(3), CoeffGroup.symmetric(2), node_budget=0)
+
+
+def test_h2c_without_free_orbit_searches_no_relation(monkeypatch):
+    """On Aff(F_25, omega), Aff(F_27, omega) and Q(Z_7, 3) every orbit is
+    pinned: no instance is collected, the search gets no relation and counts
+    its root only, and the one class is the trivial one."""
+    received = []
+    search = cmod.solutions
+
+    def spy(op, relations, values, **kwargs):
+        received.append(relations)
+        return search(op, relations, values, **kwargs)
+
+    monkeypatch.setattr(cmod, "solutions", spy)
+    quandles = [primitive_affine(25), primitive_affine(27), q.affine_quandle(FinAbGroup((7,)), [[3]])]
+    for quandle in quandles:
+        for coeff in (CoeffGroup.abelian((2,)), CoeffGroup.symmetric(3)):
+            reps = q.h2c(quandle, coeff, node_budget=1)
+            assert len(reps) == 1 and reps[0].is_trivial(), (quandle.size, coeff)
+            with pytest.raises(BudgetExceeded):
+                q.h2c(quandle, coeff, node_budget=0)
+    assert received == [[]] * 12
 
 
 def test_normalized_cocycles_are_invariant(small_affine_corpus, small_coeffs):

@@ -324,6 +324,32 @@ def test_affine_is_connected():
     assert q.affine_is_connected(z9, q.AbHom.scaling(z9, 2))
 
 
+def test_affine_is_connected_builds_one_hom(monkeypatch):
+    """1 - alpha is one AbHom with entries delta_ij - alpha_ij, and its answer
+    is that of the subtraction; a hom of another group is refused with the
+    subtraction's error."""
+    built = []
+    init = q.AbHom.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for _, moduli, matrix in AFFINE_CORPUS_DEFS:
+        group = q.FinAbGroup(moduli)
+        alpha = q.AbHom(group, group, matrix)
+        for hom in (alpha, q.AbHom.identity(group), q.AbHom.scaling(group, 2)):
+            expected = (q.AbHom.identity(group) - hom).is_automorphism()
+            with monkeypatch.context() as patch:
+                patch.setattr(q.AbHom, "__init__", counting_init)
+                assert q.affine_is_connected(group, hom) == expected
+            assert len(built) == 1
+            built.clear()
+    z3, z5 = q.FinAbGroup((3,)), q.FinAbGroup((5,))
+    with pytest.raises(ValueError, match="homomorphisms must share source and target"):
+        q.affine_is_connected(z3, q.AbHom.scaling(z5, 2))
+
+
 def test_cyclic_affine_connectivity_matches_gcd_rule():
     import math
 
