@@ -20,7 +20,6 @@ from .cocycles import (
     CoeffGroup,
     ConstantCocycle,
     OrbitPartition,
-    PairMaps,
     are_cohomologous,
     cocycle_from_json,
     cocycle_to_json,
@@ -34,6 +33,7 @@ from .cocycles import (
     h2c_is_trivial,
     normalize,
     normalized_cocycles,
+    pair_map,
     parse_coeff_descriptor,
     trivial_cocycle,
 )

@@ -18,10 +18,9 @@ import sys
 from .abelian import AbHom, FinAbGroup
 from .cocycles import (
     DEFAULT_H2C_NODE_BUDGET,
-    PairMaps,
-    _pair_partition,
     cocycle_from_json,
     cocycle_to_json,
+    full_partition,
     h2c,
     parse_coeff_descriptor,
 )
@@ -175,8 +174,7 @@ def cmd_knot(args):
 def cmd_orbits(args):
     q = load_quandle_file(args.table)
     u = args.base_point
-    maps = PairMaps(q, u)
-    parts = {gens: _pair_partition(q, u, gens, maps) for gens in ("f", "g", "h", "fgh")}
+    parts = {gens: full_partition(q, u, gens) for gens in ("f", "g", "h", "fgh")}
     gpart = parts["g"]
     payload = {
         "base_point": u,

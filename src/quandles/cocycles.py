@@ -20,11 +20,13 @@ are none.
 Coefficient groups are :class:`quandles.core.CoeffGroup` Cayley tables,
 the one finite-group table type, which coset quandles share.
 
-The pair bijections are image tuples over the pair ids p = x*n + y, and the
-orbits of one or two of them, like the components of a quandle and the
-conjugacy classes of a coefficient group, come from
-:func:`quandles.perms.orbits`. The orbits of all three, which the search
-reads, come from the cycles of the left translation by the base point.
+A pair (x, y) is its id p = x*n + y throughout: :func:`pair_map` gives each
+pair bijection as an image tuple over the ids, and :func:`full_partition`
+gives orbits as sorted tuples of ids. The orbits of one or two of the maps,
+like the components of a quandle and the conjugacy classes of a coefficient
+group, come from :func:`quandles.perms.orbits`; the orbits of all three,
+which the search reads, come from the cycles of the left translation by the
+base point.
 """
 
 from __future__ import annotations
@@ -75,15 +77,9 @@ def cocycle_witness(quandle, coeff, values):
     for x in range(n):
         if values[x][x] != coeff.identity:
             return ("diagonal", (x,))
-    return _cocycle_violation(quandle, coeff, values, quandle._generating_set())
-
-
-def _cocycle_violation(quandle, coeff, values, xs):
-    """The least ("cocycle", (x, y, z)) with x in ``xs``, or None."""
-    n = quandle.size
     t = quandle.table
     mul = coeff.table
-    for x in xs:
+    for x in quandle._generating_set():
         tx, vx = t[x], values[x]
         for y in range(n):
             ty, vy, lr = t[y], values[y], values[tx[y]]
@@ -265,72 +261,45 @@ def _check_base_point(quandle, u):
         raise NotLatin("the pair bijections need a latin quandle")
 
 
-class PairMaps:
-    r"""The three cocycle-preserving bijections of X x X for a latin quandle.
-
-    With base point u:
+def pair_map(quandle, u, which):
+    r"""One of the three cocycle-preserving bijections of X x X for a latin
+    quandle, with base point u:
 
         f: (x, y) -> (x*(y/u), x*u)
         g: (x, y) -> (u*x, u*y)
         h: (x, y) -> ((y/(x\u))*x, y)
 
-    Each map is built once, from the table rows and the division caches, as
-    the image tuple ``images[w]`` over the pair ids p = x*n + y. These serve
-    the partitions by one or two of the maps; the orbits of all three, which
-    the cocycle search reads, come from :func:`_fgh_orbits` without any image
-    tuple.
+    as the image tuple over the pair ids p = x*n + y, built from the table
+    rows and the division caches. These serve the partitions by one or two
+    of the maps; the orbits of all three, which the cocycle search reads,
+    come from :func:`_fgh_orbits` without any image tuple.
     """
-
-    __slots__ = ("quandle", "u", "images")
-
-    def __init__(self, quandle, u):
-        _check_base_point(quandle, u)
-        n = quandle.size
-        self.quandle = quandle
-        self.u = u
-        t, xs = quandle.table, range(n)
-        left_inv, cols = quandle._division_rows()  # cols[b][a] = a/b
-        tu, over_u = t[u], cols[u]
-        self.images = {
-            "f": tuple(t[x][over_u[y]] * n + t[x][u] for x in xs for y in xs),
-            "g": tuple(tu[x] * n + tu[y] for x in xs for y in xs),
-            "h": tuple(t[cols[left_inv[x][u]][y]][x] * n + y for x in xs for y in xs),
-        }
-
-    def _apply(self, which, pair):
-        x, y = pair
-        n = self.quandle.size
-        return divmod(self.images[which][x * n + y], n)
-
-    def f(self, pair):
-        return self._apply("f", pair)
-
-    def g(self, pair):
-        return self._apply("g", pair)
-
-    def h(self, pair):
-        return self._apply("h", pair)
-
-    def get(self, which):
-        """The map named ``which`` as a function on pairs."""
-        if which not in ("f", "g", "h"):
-            raise ValueError(f"unknown map {which!r}")
-        return getattr(self, which)
+    _check_base_point(quandle, u)
+    n = quandle.size
+    t, xs = quandle.table, range(n)
+    left_inv, cols = quandle._division_rows()  # cols[b][a] = a/b
+    if which == "f":
+        over_u = cols[u]
+        return tuple(t[x][over_u[y]] * n + t[x][u] for x in xs for y in xs)
+    if which == "g":
+        tu = t[u]
+        return tuple(tu[x] * n + tu[y] for x in xs for y in xs)
+    if which == "h":
+        return tuple(t[cols[left_inv[x][u]][y]][x] * n + y for x in xs for y in xs)
+    raise ValueError(f"unknown map {which!r}")
 
 
 @dataclass(frozen=True)
 class OrbitPartition:
     """Orbits of a set of pair bijections on X x X.
 
-    ``blocks`` holds each orbit as a sorted tuple of pairs (x, y), ordered by
-    least pair, and ``index[x*n + y]`` is the number of the block of (x, y).
+    ``blocks`` holds each orbit as a sorted tuple of pair ids x*n + y, ordered
+    by least pair, and ``index[x*n + y]`` is the number of the block of (x, y).
     For the plain g-partition the three distinguished families are labeled:
     the singleton orbit of (u, u), the orbits of the f-fixed pairs
     (x, x*u), and the orbits of the pairs (x, x\\u) multiplying to u.
     """
 
-    base_point: int
-    generators: str
     blocks: tuple
     index: tuple
     uu_block: int | None = None
@@ -340,41 +309,35 @@ class OrbitPartition:
     def sizes(self):
         return tuple(len(b) for b in self.blocks)
 
-    def __len__(self):
-        return len(self.blocks)
-
 
 def full_partition(quandle, u, gens="fgh"):
-    """Partition X x X into orbits of the chosen maps, blocks sorted by least pair."""
+    """Partition X x X into orbits of the chosen maps, blocks sorted by least
+    pair: the fgh-orbits come from :func:`_fgh_orbits`, the others from the
+    images of :func:`pair_map`."""
     gens = "".join(sorted(set(gens)))
     if not gens or any(w not in "fgh" for w in gens):
         raise ValueError(f"generators must be a nonempty subset of 'fgh': {gens!r}")
-    return _pair_partition(quandle, u, gens, None if gens == "fgh" else PairMaps(quandle, u))
-
-
-def _pair_partition(quandle, u, gens, maps):
-    """:func:`full_partition` for sorted ``gens``: the fgh-orbits come from
-    :func:`_fgh_orbits`, the others from the images of ``maps``."""
     n = quandle.size
     if gens == "fgh":
         index, sizes = _fgh_orbits(quandle, u)
         blocks = [[] for _ in sizes]
         for p, i in enumerate(index):
             blocks[i].append(p)
+        blocks = tuple(map(tuple, blocks))
     else:
-        index, blocks = orbits([maps.images[w] for w in gens], n * n)
-    families = {}
-    if gens == "g":
-        t = quandle.table
-        left_inv, _ = quandle._division_rows()
-        others = [x for x in range(n) if x != u]
-        families = {
-            "uu_block": index[u * n + u],
-            "f_family": frozenset(index[x * n + t[x][u]] for x in others),
-            "u_family": frozenset(index[x * n + left_inv[x][u]] for x in others),
-        }
-    blocks = tuple(tuple(divmod(p, n) for p in block) for block in blocks)
-    return OrbitPartition(u, gens, blocks, index, **families)
+        index, blocks = orbits([pair_map(quandle, u, w) for w in gens], n * n)
+    if gens != "g":
+        return OrbitPartition(blocks, index)
+    t = quandle.table
+    left_inv, _ = quandle._division_rows()
+    others = [x for x in range(n) if x != u]
+    return OrbitPartition(
+        blocks,
+        index,
+        uu_block=index[u * n + u],
+        f_family=frozenset(index[x * n + t[x][u]] for x in others),
+        u_family=frozenset(index[x * n + left_inv[x][u]] for x in others),
+    )
 
 
 def _fgh_orbits(quandle, u):

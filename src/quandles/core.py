@@ -336,7 +336,7 @@ class AffineQuandle(Quandle):
         if name != "table":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         add = self.group.cayley_table()
-        shift = _index_images(AbHom.identity(self.group) - self.alpha, add)
+        shift = _index_images(_one_minus(self.alpha), add)
         twist = _index_images(self.alpha, add)
         self.table = tuple(tuple(map(add[c].__getitem__, twist)) for c in shift)
         return self.table
@@ -376,15 +376,20 @@ def dihedral_quandle(m):
     return affine_quandle(group, AbHom.scaling(group, -1))
 
 
+def _one_minus(alpha):
+    """1 - alpha for an endomorphism alpha, built as one ``AbHom`` with
+    entries delta_ij - alpha_ij."""
+    matrix = [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(alpha.matrix)]
+    return AbHom(alpha.source, alpha.source, matrix)
+
+
 def affine_is_connected(group, alpha):
-    """Connectivity test for affine quandles: 1 - alpha is an automorphism.
-    It is built as one ``AbHom``, with entries delta_ij - alpha_ij."""
+    """Connectivity test for affine quandles: 1 - alpha is an automorphism."""
     if not isinstance(alpha, AbHom):
         alpha = AbHom(group, group, alpha)
     elif alpha.source != group or alpha.target != group:
         raise ValueError("homomorphisms must share source and target")
-    one_minus = [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(alpha.matrix)]
-    return AbHom(group, group, one_minus).is_automorphism()
+    return _one_minus(alpha).is_automorphism()
 
 
 def _validate_group_table(table):

@@ -231,14 +231,8 @@ def dynamical_witness(quandle, fiber_size, values):
         for s in range(m):
             if values[x][x][s][s] != s:
                 return ("quandle", (x, s))
-    return _dynamical_violation(quandle, m, values, quandle._generating_set())
-
-
-def _dynamical_violation(quandle, m, values, xs):
-    """The least ("cocycle", (x, y, z, s, t)) with x in ``xs``, or None."""
-    n = quandle.size
     t = quandle.table
-    for x in xs:
+    for x in quandle._generating_set():
         tx, vx = t[x], values[x]
         for y in range(n):
             ty, vy, vxy, vl = t[y], values[y], vx[y], values[tx[y]]

@@ -290,7 +290,7 @@ def reference_normalized_cocycles(quandle, coeff, u=0):
     e = coeff.identity
     values = [None] * nblocks
     for i, block in enumerate(part.blocks):
-        if any(x == y or x == u or y == u for (x, y) in block):
+        if any(x == y or x == u or y == u for x, y in (divmod(p, n) for p in block)):
             values[i] = e
 
     t = q_.table
@@ -384,7 +384,8 @@ def reference_h2c(quandle, coeff, u=0):
 def reference_fgh_blocks(quandle, u):
     """The orbit of each pair id under the three pair maps, orbits numbered
     by least pair, by the breadth-first orbits of their image tuples."""
-    return q.orbits(q.PairMaps(quandle, u).images.values(), quandle.size ** 2)[0]
+    maps = [q.pair_map(quandle, u, which) for which in "fgh"]
+    return q.orbits(maps, quandle.size ** 2)[0]
 
 
 def reference_normalized_vectors(quandle, coeff, u, node_budget):
@@ -456,7 +457,7 @@ def reference_pair_partition(quandle, u, gens):
         h: (x, y) -> ((y/(x\\u))*x, y)
 
     with the quandle's ``op``, ``right_divide`` and ``left_divide``; blocks
-    are sorted and ordered by least pair."""
+    are sorted tuples of pair ids x*n + y, ordered by least pair."""
     op, rdiv, ldiv = quandle.op, quandle.right_divide, quandle.left_divide
     formulas = {
         "f": lambda x, y: (op(x, rdiv(y, u)), op(x, u)),
@@ -482,7 +483,7 @@ def reference_pair_partition(quandle, u, gens):
                         new.append(image)
             frontier = new
         assigned |= seen
-        blocks.append(tuple(sorted(seen)))
+        blocks.append(tuple(sorted(x * n + y for x, y in seen)))
     return tuple(blocks)
 
 
@@ -528,10 +529,16 @@ def reference_weak_cocycle_check(beta):
     return True
 
 
-def pair_map_k(maps):
+def apply_pair(images, pair):
+    """The image of the pair (x, y) under a pair map given as its image tuple
+    over the pair ids x*n + y, as a pair."""
+    n = math.isqrt(len(images))
+    return divmod(images[pair[0] * n + pair[1]], n)
+
+
+def pair_map_k(quandle, u):
     """k, the inverse of the pair map h, evaluated by its formula
     k(x, y) = (u/((x*y/u)\\y), y) with the quandle's divisions."""
-    quandle, u = maps.quandle, maps.u
     op, rdiv, ldiv = quandle.op, quandle.right_divide, quandle.left_divide
     return lambda pair: (rdiv(u, ldiv(rdiv(op(*pair), u), pair[1])), pair[1])
 
@@ -542,11 +549,11 @@ def induced_g_action(quandle, u, which):
     Each image set is asserted to be exactly one g-block.
     """
     part = q.full_partition(quandle, u, "g")
-    images = q.PairMaps(quandle, u).images[which]
-    index, n = part.index, quandle.size
+    images = q.pair_map(quandle, u, which)
+    index = part.index
     out = []
     for i, block in enumerate(part.blocks):
-        targets = {index[images[x * n + y]] for x, y in block}
+        targets = {index[images[p]] for p in block}
         target = targets.pop()
         # images is injective, so one target block of equal size is the whole block
         assert not targets and len(part.blocks[target]) == len(block), (

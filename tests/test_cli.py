@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -6,13 +7,14 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandles as q
-from quandles import knots
+from quandles import cli, knots
 from quandles.cli import main
 from quandles.cocycles import (
     CoeffGroup,
@@ -24,7 +26,7 @@ from quandles.cocycles import (
 from quandles.errors import BudgetExceeded, InconsistentSigns, MalformedCode, QuandleError
 from quandles.knots import GAUSS_CODES
 from quandles.pi1 import MAX_PI1_RANK
-from conftest import beta_a_table, refuse_table, transposition_quandle
+from conftest import beta_a_table, primitive_affine, refuse_table, transposition_quandle
 
 
 @pytest.fixture
@@ -417,7 +419,7 @@ def test_orbits_negative_base_point(capsys, table_files):
     code, out, err = run(capsys, "orbits", table_files["r3"], "-1")
     assert code == 2
     assert out == ""
-    # one check, in PairMaps, and one message, as for h2c
+    # one check, in pair_map, and one message, as for h2c
     assert err == "input error: base point -1 out of range\n"
 
 
@@ -426,6 +428,56 @@ def test_orbits_q4_uniform_f_length(capsys, table_files):
     payload = json.loads(out)
     # non-fixed f-orbits all have length 3 = |X| - 1
     assert payload["sizes"]["f"] == [1, 1, 1, 1, 3, 3, 3, 3]
+
+
+# sha256 of every report of ORBITS_GOLDEN_CASES below, recorded before the pair
+# maps became one image tuple each; the orbits bytes must not change
+ORBITS_GOLDEN_DIGEST = "40b3d272188fe74d2aadd948f66c7eb54546ea11f6c5bbed8a0ef71e15406095"
+
+
+def test_orbits_bytes_are_pinned(capsys, tmp_path, r3, q4):
+    """Every base point of r3, q4, Q(Z_3^2, -1), Aff(F_27) and Q(Z_5^2, -1),
+    plain and --json, with the exit code and stderr of the base points -1
+    and n and of a table that is not latin."""
+    neg = [[-1, 0], [0, -1]]
+    tables = [
+        ("r3", r3),
+        ("q4", q4),
+        ("z3sq_neg", q.affine_quandle(q.FinAbGroup((3, 3)), neg)),
+        ("aff27", primitive_affine(27)),
+        ("z5sq_neg", q.affine_quandle(q.FinAbGroup((5, 5)), neg)),
+    ]
+    cases = []
+    for name, quandle in tables:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(q.quandle_to_text(quandle))
+        cases += [(name, str(path), u) for u in range(-1, quandle.size + 1)]
+    path = tmp_path / "p3.txt"
+    path.write_text(q.quandle_to_text(q.projection_quandle(3)))
+    cases.append(("p3", str(path), 0))
+    digest = hashlib.sha256()
+    for name, path, u in cases:
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, *flags, "orbits", path, str(u))
+            digest.update(f"{name} {flags} {u} {code}\n{out}\x00{err}\x00".encode())
+    assert digest.hexdigest() == ORBITS_GOLDEN_DIGEST
+
+
+def test_traced_orbits_are_charged_to_the_partition_layer(capsys, table_files):
+    """The benchmark tracer, read as text as in test_trace_contract.py, times
+    the orbits partitions as ``cocycles.partition_s``, not as CLI time."""
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    namespace = {"__name__": "bench_tracing"}
+    exec(compile(tracing.read_text(encoding="utf-8"), str(tracing), "exec"), namespace)
+    tracer = namespace["Tracer"]()
+    tracer.install(q)
+    try:
+        assert cli.main(["orbits", table_files["q4"], "0"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert tracer.counts["cocycles.partition_blocks"] > 0
+    assert tracer.self_time["cocycles.partition_s"] > 0
 
 
 def test_usage_error(capsys):

@@ -142,6 +142,31 @@ def test_affine_rejects_non_automorphism():
         q.affine_quandle(g, q.AbHom.scaling(g, 2))
 
 
+def test_affine_table_builds_one_hom(monkeypatch):
+    """The table of Q(G, alpha) builds 1 - alpha as one AbHom, and it is
+    x*y = x + alpha(y - x)."""
+    built = []
+    init = q.AbHom.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for name, moduli, matrix in AFFINE_CORPUS_DEFS:
+        quandle = q.affine_quandle(q.FinAbGroup(moduli), matrix)
+        with monkeypatch.context() as patch:
+            patch.setattr(q.AbHom, "__init__", counting_init)
+            table = quandle.table
+        assert len(built) == 1, name
+        built.clear()
+        group, alpha = quandle.group, quandle.alpha
+        elems = group.elements()
+        assert table == tuple(
+            tuple(group.index_of(group.add(x, alpha(group.sub(y, x)))) for y in elems)
+            for x in elems
+        ), name
+
+
 def test_affine_left_translations_are_translated_alpha(small_affine_corpus):
     # L_x(y) = (1-alpha)(x) + alpha(y), so L_0 = alpha and every L_x is a
     # translate of it

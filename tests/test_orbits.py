@@ -3,8 +3,13 @@
 import math
 
 import quandles as q
-from conftest import f_orbit_length_by_power_sum, f_orbit_length_by_recursion, induced_g_action
-from quandles.cocycles import PairMaps, full_partition, normalized_cocycles
+from conftest import (
+    apply_pair,
+    f_orbit_length_by_power_sum,
+    f_orbit_length_by_recursion,
+    induced_g_action,
+)
+from quandles.cocycles import full_partition, normalized_cocycles, pair_map
 
 
 def alternating_sum(group, alpha, z, count, start=0):
@@ -21,7 +26,6 @@ def alternating_sum(group, alpha, z, count, start=0):
 def test_f_fixed_points_and_no_two_orbits(affine_corpus):
     for name, quandle in affine_corpus:
         n = quandle.size
-        maps = PairMaps(quandle, 0)
         for x in range(n):
             for y in range(n):
                 length = q.f_orbit_length(quandle, 0, x, y)
@@ -46,7 +50,7 @@ def test_g_orbit_lcm_law(affine_corpus):
         l0 = quandle.left_section[0]
         part = full_partition(quandle, 0, "g")
         for block in part.blocks:
-            x, y = block[0]
+            x, y = divmod(block[0], quandle.size)
             expected = math.lcm(len(l0.orbit_of(x)), len(l0.orbit_of(y)))
             assert len(block) == expected, name
             assert (len(block) == 1) == ((x, y) == (0, 0)), name
@@ -56,14 +60,14 @@ def test_h_orbit_is_additive_order(affine_corpus):
     for name, quandle in affine_corpus:
         group = quandle.group
         elems = group.elements()
-        maps = PairMaps(quandle, 0)
+        h = pair_map(quandle, 0, "h")
         for x in range(quandle.size):
             for y in range(quandle.size):
                 length = 1
-                cur = maps.h((x, y))
+                cur = apply_pair(h, (x, y))
                 while cur != (x, y):
                     length += 1
-                    cur = maps.h(cur)
+                    cur = apply_pair(h, cur)
                 assert length == group.order_of(elems[y]), name
                 assert (length == 1) == (y == 0), name
 
@@ -153,7 +157,7 @@ def test_alpha_power_fixed_iff_geometric_sum_zero(affine_corpus):
 def test_product_fibers(affine_corpus):
     for name, quandle in affine_corpus:
         n = quandle.size
-        maps = PairMaps(quandle, 0)
+        f = pair_map(quandle, 0, "f")
         fibers = {}
         for x in range(n):
             for y in range(n):
@@ -161,27 +165,27 @@ def test_product_fibers(affine_corpus):
         for target, fiber in fibers.items():
             assert len(fiber) == n, name
             for pair in fiber:
-                assert maps.f(pair) in fiber, name
+                assert apply_pair(f, pair) in fiber, name
 
 
 def test_commutation_relations(small_affine_corpus):
     for name, quandle in small_affine_corpus:
         n = quandle.size
-        maps = PairMaps(quandle, 0)
+        f, g, h = (pair_map(quandle, 0, which) for which in "fgh")
         for x in range(n):
             for y in range(n):
-                pair = (x, y)
-                assert maps.f(maps.g(pair)) == maps.g(maps.f(pair)), name
-                assert maps.h(maps.g(pair)) == maps.g(maps.h(pair)), name
-                commute = maps.f(maps.h(pair)) == maps.h(maps.f(pair))
-                assert commute == (pair == (0, 0)), name
+                p = x * n + y
+                assert f[g[p]] == g[f[p]], name
+                assert h[g[p]] == g[h[p]], name
+                commute = f[h[p]] == h[f[p]]
+                assert commute == ((x, y) == (0, 0)), name
 
 
 def test_labeled_g_families(affine_corpus):
     for name, quandle in affine_corpus:
         n = quandle.size
         part = full_partition(quandle, 0, "g")
-        maps = PairMaps(quandle, 0)
+        h = pair_map(quandle, 0, "h")
         assert len(part.blocks[part.uu_block]) == 1
         # the f-family consists exactly of the g-orbits of nontrivial f-fixed pairs
         fixed_pairs = {
@@ -190,15 +194,14 @@ def test_labeled_g_families(affine_corpus):
         assert part.f_family == {part.index[x * n + y] for x, y in fixed_pairs}, name
         # the u-family covers the fiber over u, apart from (u, u)
         fiber_pairs = {
-            (x, y) for x in range(n) for y in range(n) if quandle.op(x, y) == 0
-        } - {(0, 0)}
+            x * n + y for x in range(n) for y in range(n) if quandle.op(x, y) == 0
+        } - {0}
         covered = {p for b in part.u_family for p in part.blocks[b]}
         assert covered == fiber_pairs, name
         # h moves both families entirely off themselves
         for family in (part.f_family, part.u_family):
             for b in family:
-                hx, hy = maps.h(part.blocks[b][0])
-                image_block = part.index[hx * n + hy]
+                image_block = part.index[h[part.blocks[b][0]]]
                 assert image_block not in family, name
         # f preserves both families; each f-fixed g-orbit stays pointwise fixed
         _, f_action = induced_g_action(quandle, 0, "f")
@@ -224,13 +227,12 @@ def test_semiregular_orbit_lengths_descend(affine_corpus):
         if quandle.semiregular_length() is None:
             continue
         part = full_partition(quandle, 0, "g")
-        maps = PairMaps(quandle, 0)
         for which in ("f", "h"):
             _, action = induced_g_action(quandle, 0, which)
-            fn = maps.get(which)
+            images = pair_map(quandle, 0, which)
             for b, block in enumerate(part.blocks):
                 pair = block[0]
-                if which == "f" and quandle.op(*pair) == 0:
+                if which == "f" and quandle.op(*divmod(pair, quandle.size)) == 0:
                     continue
                 induced = 1
                 cur = action[b]
@@ -238,10 +240,10 @@ def test_semiregular_orbit_lengths_descend(affine_corpus):
                     induced += 1
                     cur = action[cur]
                 plain = 1
-                cur_pair = fn(pair)
+                cur_pair = images[pair]
                 while cur_pair != pair:
                     plain += 1
-                    cur_pair = fn(cur_pair)
+                    cur_pair = images[cur_pair]
                 assert induced == plain, name
 
 
@@ -253,7 +255,7 @@ def test_f_orbit_collapse_on_base_fiber_counterexample(q4):
     _, action = induced_g_action(q4, 0, "f")
     (fiber_block,) = part.u_family
     assert action[fiber_block] == fiber_block
-    pair = part.blocks[fiber_block][0]
+    pair = divmod(part.blocks[fiber_block][0], q4.size)
     assert q.f_orbit_length(q4, 0, *pair) == 3
 
 
