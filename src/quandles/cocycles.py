@@ -9,13 +9,10 @@ beta: X x X -> G with
 Cocycles are cohomologous when they differ by a twist
 beta'(x, y) = gamma(x*y) beta(x, y) gamma(y)^-1; the classes form the second
 constant cohomology set. On latin quandles every class contains normalized
-representatives (beta(x, u) = 1 for a base point u), which are constant on
-the orbits of three explicit bijections of X x X; :func:`h2c` enumerates the
-classes by backtracking over those orbits. The orbits that hold a pair
-(x, x), (x, u) or (u, x) are pinned to 1 and share one variable; the
-relations are the cocycle instances at x in the generating set other than
-u, which suffice as in :func:`cocycle_witness`; with no free orbit there
-are none.
+representatives (beta(x, u) = 1 for a base point u): the solutions of a
+presentation P(Q, u) over the orbits of three explicit bijections of X x X,
+which :func:`_orbit_presentation` builds and explains. :func:`h2c`
+enumerates the classes by backtracking over it.
 
 Coefficient groups are :class:`quandles.core.CoeffGroup` Cayley tables,
 the one finite-group table type, which coset quandles share.
@@ -406,47 +403,47 @@ def f_orbit_length(quandle, u, x, y):
 
 
 def normalized_cocycles(quandle, coeff, u=0, node_budget=DEFAULT_H2C_NODE_BUDGET):
-    """All u-normalized constant cocycles on a latin quandle.
-
-    Every u-normalized cocycle is constant on the orbits of the three pair
-    bijections, so the unknowns are one group element per orbit. Orbits
-    containing a pair (x, u), (u, x) or (x, x) are pinned to the identity,
-    all in one variable; the free rest are assigned by
-    :func:`quandles.search.solutions`, smallest orbit first, with the cocycle
-    instances at the generating points other than u propagated after every
-    assignment. With no free orbit there is no instance, and the search
-    counts its root only; ``node_budget`` bounds its nodes.
+    """All u-normalized constant cocycles on a latin quandle: the solutions
+    in ``coeff`` of :func:`_orbit_presentation`, assigned by
+    :func:`quandles.search.solutions`, smallest free orbit first, with the
+    relations propagated after every assignment. With no free orbit the
+    search counts its root only; ``node_budget`` bounds its nodes.
     """
     return _tables(quandle, coeff, *_normalized_vectors(quandle, coeff, u, node_budget))
 
 
-def _normalized_vectors(quandle, coeff, u, node_budget):
-    """:func:`normalized_cocycles` in orbit coordinates: ``block[p]`` is the
-    orbit of pair id p, by least pair, and a solution has one element per orbit.
+def _orbit_presentation(quandle, u):
+    """The presentation P(Q, u), free of any group G, whose solutions in G
+    are the u-normalized cocycles into G: ``(block, var, nvars, relations)``.
 
-    The orbits and their sizes come from :func:`_fgh_orbits`. Every pinned
-    orbit holds e, so they all share one variable, and the instances dedupe
-    in it. The cocycle instances are collected only for x in the quandle's
-    generating set S other than u, with all y and z, by the argument of
+    Every u-normalized cocycle is constant on the orbits of the three pair
+    bijections, so the unknowns are one element per orbit: ``block[p]`` is
+    the orbit of pair id p, by least pair (:func:`_fgh_orbits`), and
+    ``var[i]`` the variable of orbit i. The orbits holding a pair (x, x),
+    (x, u) or (u, x) are pinned to e and share variable 0; the free orbits
+    follow, smallest first. A relation (w, a, b) says w = ab, for w past the
+    orbits' variables, ``nvars`` in all: an instance beta(a) beta(b) =
+    beta(c) beta(d) equates two products, and the products it equates,
+    directly or through others, share one w.
+
+    The instances are collected only for x in the quandle's generating set
+    S other than u, with all y and z, by the argument of
     :func:`cocycle_witness`: the x at which they hold are closed under the
     operation, as L_(x*y) = L_x L_y L_x^-1, and include u, where with
     beta(u, z) pinned to e they say only that beta(u*y, u*z) = beta(y, z),
     which every orbit vector meets. So every solution meets the cocycle
     condition at all n^3 triples, and with its diagonal orbits pinned it is a
-    cocycle: it is not re-verified. With no free orbit nothing is collected,
-    and the search only counts its root.
+    cocycle: it is not re-verified. With no free orbit there is no relation.
     """
     if not quandle.is_latin:
         raise NotLatin("cocycle enumeration needs a latin quandle")
     n = quandle.size
     block, sizes = _fgh_orbits(quandle, u)
     pinned = {block[p] for x in range(n) for p in (x * n + x, x * n + u, u * n + x)}
-    # variable 0 is e; the free orbits follow in branch order, smallest first
     free = sorted(set(range(len(sizes))) - pinned, key=lambda i: (sizes[i], i))
     var = [0] * len(sizes)
     for v, i in enumerate(free, 1):
         var[i] = v
-    values = [coeff.identity] + [-1] * len(free)
 
     instances = set()
     if free:  # then n >= 3, and itemgetter gives tuples
@@ -460,9 +457,6 @@ def _normalized_vectors(quandle, coeff, u, node_budget):
                 for y in range(n):  # the instances at (x, y, z) for every z
                     instances.update(zip(px(rows[tx[y]]), bx, permute[y](bx), rows[y]))
 
-    # an instance beta(a) beta(b) = beta(c) beta(d) equates two products;
-    # the products it equates, directly or through others, share one
-    # variable w, with the relations w = ab and w = cd
     products = {}
     for a, b, c, d in instances:
         products.setdefault((a, b), len(products))
@@ -472,11 +466,17 @@ def _normalized_vectors(quandle, coeff, u, node_budget):
         union(parent, products[a, b], products[c, d])
     shared = {}
     relations = [
-        (shared.setdefault(find(parent, i), len(values) + len(shared)), a, b)
+        (shared.setdefault(find(parent, i), 1 + len(free) + len(shared)), a, b)
         for (a, b), i in products.items()
     ]
-    values.extend([-1] * len(shared))
+    return block, var, 1 + len(free) + len(shared), relations
 
+
+def _normalized_vectors(quandle, coeff, u, node_budget):
+    """:func:`normalized_cocycles` in orbit coordinates: the block of
+    :func:`_orbit_presentation`, and one element per orbit for each solution."""
+    block, var, nvars, relations = _orbit_presentation(quandle, u)
+    values = [coeff.identity] + [-1] * (nvars - 1)
     found = solutions(coeff, relations, values, budget=node_budget, what="cocycle")
     return block, [tuple(map(a.__getitem__, var)) for a in found]
 

@@ -280,10 +280,10 @@ class PermGroup:
             self._chain = StabilizerChain([g.images for g in self.generators], self.degree)
         return self._chain
 
-    def elements(self, cap=DEFAULT_CLOSURE_CAP):
+    def elements(self):
         if self._elements is None:
             gens = self.generators or (Perm.identity(self.degree),)
-            self._elements = closure(gens, cap)
+            self._elements = closure(gens)
         return self._elements
 
     def order(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import quandles as q
 from quandles import search
+from quandles.cocycles import _orbit_presentation
 from quandles.core import _is_index_list, _square_rows
 from quandles.errors import (
     BudgetExceeded,
@@ -423,6 +424,83 @@ def reference_normalized_vectors(quandle, coeff, u, node_budget):
     values.extend([-1] * len(shared))
     found = search.solutions(coeff, relations, values, budget=node_budget, what="cocycle")
     return block, [tuple(a[v] for v in var) for a in found]
+
+
+def presentation_rows(quandle, u):
+    """The variable of each orbit in ``cocycles._orbit_presentation``, and its
+    relation matrix: one row e_w - e_a - e_b per relation w = ab, with the
+    column of variable 0 = e dropped."""
+    _, var, nvars, relations = _orbit_presentation(quandle, u)
+    rows = []
+    for w, a, b in relations:
+        row = [0] * nvars
+        row[w] += 1
+        row[a] -= 1
+        row[b] -= 1
+        rows.append(row[1:])
+    return var, nvars - 1, rows
+
+
+def presentation_abelianized(quandle, u):
+    """The invariant factors of P(Q, u)^ab, in the form ``pi1_affine`` gives:
+    the Smith form diagonal of the relation rows without its 1s, and a 0 for
+    each free summand, one per column the diagonal leaves zero."""
+    _, ncols, rows = presentation_rows(quandle, u)
+    nonzero = [d for d in q.smith_normal_form(rows) if d]
+    return tuple(sorted(d for d in nonzero if d > 1)) + (0,) * (ncols - len(nonzero))
+
+
+def presentation_kernel(quandle, u, p):
+    """The solutions in Z_p of P(Q, u), with variable 0 = 0, each widened to
+    one residue per orbit, sorted: the kernel of the relation rows mod p, by
+    reduced row echelon form, all p^k combinations of its k free columns. A
+    residue is its element index in ``CoeffGroup.abelian((p,))``."""
+    var, ncols, rows = presentation_rows(quandle, u)
+    rows = [[v % p for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        row = rows.pop(r)
+        inverse = pow(row[c], -1, p)
+        row = [v * inverse % p for v in row]
+        rows = [[(a - other[c] * b) % p for a, b in zip(other, row)] for other in rows]
+        rows.insert(len(pivots), row)
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for choice in product(range(p), repeat=len(free)):
+        x = [0] * ncols
+        for c, v in zip(free, choice):
+            x[c] = v
+        for row, c in zip(rows, pivots):
+            x[c] = -sum(row[j] * x[j] for j in free) % p
+        x = [0] + x
+        out.append(tuple(x[v] for v in var))
+    return sorted(out)
+
+
+def primitive_polynomial(p, k):
+    """The first ``coeffs`` in lexicographic order with x^k - c_(k-1) x^(k-1)
+    - ... - c_0 primitive over F_p, by brute force: x first returns to 1 after
+    p^k - 1 multiplications, so the quotient ring is F_(p^k) and x a
+    generator of its units. ``companion(coeffs)`` is then a primitive element
+    acting on F_(p^k) in the basis 1, x, ..., x^(k-1)."""
+    one = (1,) + (0,) * (k - 1)
+    for coeffs in product(range(p), repeat=k):
+        if not coeffs[0]:  # then x is a zero divisor
+            continue
+        power, steps = one, 0
+        while steps < p ** k - 1:
+            top = power[-1]  # x * sum s_i x^i, with x^k = sum c_i x^i
+            power = tuple((s + top * c) % p for s, c in zip((0,) + power[:-1], coeffs))
+            steps += 1
+            if power == one:
+                break
+        if power == one and steps == p ** k - 1:
+            return list(coeffs)
+    raise ValueError(f"no primitive polynomial of degree {k} over F_{p}")
 
 
 def least_budget(fn):

@@ -26,7 +26,13 @@ from quandles.cocycles import (
 from quandles.errors import BudgetExceeded, InconsistentSigns, MalformedCode, QuandleError
 from quandles.knots import GAUSS_CODES
 from quandles.pi1 import MAX_PI1_RANK
-from conftest import beta_a_table, primitive_affine, refuse_table, transposition_quandle
+from conftest import (
+    beta_a_table,
+    galkin_quandle,
+    primitive_affine,
+    refuse_table,
+    transposition_quandle,
+)
 
 
 @pytest.fixture
@@ -461,6 +467,42 @@ def test_orbits_bytes_are_pinned(capsys, tmp_path, r3, q4):
             code, out, err = run(capsys, *flags, "orbits", path, str(u))
             digest.update(f"{name} {flags} {u} {code}\n{out}\x00{err}\x00".encode())
     assert digest.hexdigest() == ORBITS_GOLDEN_DIGEST
+
+
+# sha256 of every report of test_h2c_bytes_are_pinned, recorded before the
+# h2c relators became a presentation of their own; the h2c bytes must not change
+H2C_GOLDEN_DIGEST = "dc7782f77c006e4d0f2b37d11abc0bab7f27b0c9b8695a694fa0a17a057ba4b1"
+
+
+def test_h2c_bytes_are_pinned(capsys, tmp_path, monkeypatch, r3, q4):
+    """r3, q4, Q(Z_3^2, -1), Aff(F_27), Q(Z_5^2, -1) and G(Z_5, 1) over Z2,
+    Z3 and Sym(3) at the base points 0 and n - 1, plain and --json, and one
+    run out of budget with its exit code and stderr. The tables are read by
+    relative name, since --json reports the path as given."""
+    neg = [[-1, 0], [0, -1]]
+    tables = [
+        ("r3", r3),
+        ("q4", q4),
+        ("z3sq_neg", q.affine_quandle(q.FinAbGroup((3, 3)), neg)),
+        ("aff27", primitive_affine(27)),
+        ("z5sq_neg", q.affine_quandle(q.FinAbGroup((5, 5)), neg)),
+        ("galkin_5_1", galkin_quandle(5, 1)),
+    ]
+    monkeypatch.chdir(tmp_path)
+    cases = []
+    for name, quandle in tables:
+        (tmp_path / f"{name}.txt").write_text(q.quandle_to_text(quandle))
+        for coeff in ("Z2", "Z3", "Sym(3)"):
+            for u in (0, quandle.size - 1):
+                for flags in ((), ("--json",)):
+                    cases.append((*flags, "h2c", f"{name}.txt", coeff, "--base-point", str(u)))
+    cases.append(("h2c", "q4.txt", "Sym(3)", "--budget", "3"))
+    digest = hashlib.sha256()
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{argv} {code}\n{out}\x00{err}\x00".encode())
+    assert run(capsys, *cases[-1])[0] == 3
+    assert digest.hexdigest() == H2C_GOLDEN_DIGEST
 
 
 def test_traced_orbits_are_charged_to_the_partition_layer(capsys, table_files):

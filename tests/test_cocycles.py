@@ -31,6 +31,7 @@ from conftest import (
     apply_pair,
     automorphism_order,
     beta_a_table,
+    companion,
     corrupt,
     endomorphism,
     galkin_quandle,
@@ -38,7 +39,11 @@ from conftest import (
     off_diagonal_swap,
     outcome,
     pair_map_k,
+    presentation_abelianized,
+    presentation_kernel,
+    presentation_rows,
     primitive_affine,
+    primitive_polynomial,
     reference_cocycle_witness,
     reference_fgh_blocks,
     reference_validate_group_table,
@@ -628,6 +633,65 @@ def test_galkin_cocycles_match_reference(galkin_corpus):
                 assert found == expected, (name, coeff, u)
                 reps = [rep.values for rep in q.h2c(quandle, coeff, u)]
                 assert reps == reference_h2c(quandle, coeff, u), (name, coeff, u)
+
+
+def test_orbit_presentation_abelianizes_to_pi1(affine_corpus):
+    """H^2 over G is Hom(pi1, G) up to conjugacy (Eisermann, Trans. AMS 366,
+    2014), so P(Q, u)^ab, by the Smith form of its relation rows, is pi1 of
+    the affine quandle from (G, alpha): on the corpus and Q(Z_5^2, -1), at
+    the base points 0 and n - 1."""
+    z5sq_neg = q.affine_quandle(FinAbGroup((5, 5)), [[4, 0], [0, 4]])
+    for name, quandle in affine_corpus + [("z5sq_neg", z5sq_neg)]:
+        for u in (0, quandle.size - 1):
+            assert presentation_abelianized(quandle, u) == q.pi1_affine(quandle), (name, u)
+
+
+def test_galkin_presentation_abelianizes_to_z_m():
+    """P(Q, u)^ab is Z_m on every Galkin quandle G(Z_m, c) with m odd up to 11,
+    which are not affine, so no other pi1 routine reaches them."""
+    for m in (3, 5, 7, 9, 11):
+        for c in range(m):
+            assert presentation_abelianized(galkin_quandle(m, c), 0) == (m,), (m, c)
+
+
+def test_cocycles_over_z_p_are_the_presentation_kernel(affine_corpus, galkin_corpus):
+    """Over Z_p the normalized cocycles are the kernel of the relation rows mod
+    p, with e = 0: the same orbit vectors as the search, found by linear
+    algebra alone."""
+    for name, quandle in affine_corpus + galkin_corpus:
+        for p in (2, 3, 5):
+            _, vectors = cmod._normalized_vectors(
+                quandle, CoeffGroup.abelian((p,)), 0, cmod.DEFAULT_H2C_NODE_BUDGET)
+            assert vectors == presentation_kernel(quandle, 0, p), (name, p)
+
+
+def test_connected_cyclic_affine_quandles_have_no_free_orbit():
+    """The first theorem with no coefficient group: every connected Q(Z_m, k)
+    with m < 50 has no free orbit, so every u-normalized cocycle is trivial
+    and the quandle is simply connected."""
+    count = 0
+    for m in range(3, 50):
+        for k in range(m):
+            if math.gcd(k, m) == math.gcd(1 - k, m) == 1:
+                quandle = q.affine_quandle(FinAbGroup((m,)), [[k]])
+                assert max(presentation_rows(quandle, 0)[0]) == 0, (m, k)
+                count += 1
+    assert count == 412
+
+
+def test_finite_field_quandles_have_the_doubly_transitive_free_orbits():
+    """The doubly transitive theorem with no coefficient group, on Aff(F_q,
+    omega) with omega primitive, for every prime power 3 <= q <= 512 with
+    p <= 23: no free orbit for odd q, exactly one for q = 2^k, and P^ab
+    trivial except for Z_2 at q = 4."""
+    fields = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+              for k in range(1, 10) if 3 <= p ** k <= 512]
+    assert len(fields) == 28
+    for p, k in fields:
+        group = FinAbGroup((p,) * k)
+        quandle = q.affine_quandle(group, companion(primitive_polynomial(p, k)))
+        assert max(presentation_rows(quandle, 0)[0]) == (p == 2), p ** k
+        assert presentation_abelianized(quandle, 0) == ((2,) if p ** k == 4 else ()), p ** k
 
 
 def test_homomorphic_images_are_cocycles(affine_corpus):

@@ -80,6 +80,15 @@ def test_closure_cap():
         closure([ten_cycle], cap=5)
 
 
+def test_group_elements_take_no_cap():
+    """The element list is cached, so a cap on ``PermGroup.elements`` would
+    hold on the first call only; ``closure`` keeps its cap."""
+    group = PermGroup([Perm.from_cycles(4, [(0, 1, 2, 3)])])
+    with pytest.raises(TypeError):
+        group.elements(cap=2)
+    assert len(group.elements()) == 4
+
+
 # a degree up to 7 with up to three generators, the identity included
 small_generator_sets = st.integers(1, 7).flatmap(
     lambda n: st.tuples(
