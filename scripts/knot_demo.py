@@ -3,13 +3,18 @@
 
 Shows the trefoil distinguished from the unknot by the order-4 quandle, and
 the trivial invariants produced by the simply connected dihedral quandle.
+
+Each count, taken with one search per orbit of the inner automorphism group,
+is checked against the full list of colorings minus the constant ones. The
+script exits with status 1 on any mismatch.
 """
 
 import argparse
+import sys
 
 from quandles import CoeffGroup, ConstantCocycle, FinAbGroup, affine_quandle
 from quandles import dihedral_quandle, trivial_cocycle
-from quandles.knots import GAUSS_CODES, cocycle_invariant, col_count, parse_gauss
+from quandles.knots import GAUSS_CODES, cocycle_invariant, col_count, colorings, parse_gauss
 
 
 def order_four_cocycle():
@@ -28,6 +33,7 @@ def main():
     r3 = dihedral_quandle(3)
     q4, beta = order_four_cocycle()
     trivial_r3 = trivial_cocycle(r3, CoeffGroup.symmetric(2))
+    failures = []
     for name in ("unknot", "trefoil_right", "trefoil_left", "figure_eight"):
         diagram = parse_gauss(GAUSS_CODES[name])
         counts_r3 = col_count(diagram, r3)
@@ -39,7 +45,14 @@ def main():
             f"Q4 invariant classes: {summary}"
         )
         assert cocycle_invariant(diagram, r3, trivial_r3) == ("[0,1]",) * counts_r3
+        for label, quandle, count in (("R_3", r3, counts_r3), ("Q4", q4, counts_q4)):
+            listed = len(colorings(diagram, quandle)) - quandle.size
+            if count != listed:
+                failures.append(f"{name} by {label}: col_count {count}, colorings {listed}")
+    for line in failures:
+        print(f"mismatch: {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

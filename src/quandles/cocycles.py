@@ -434,9 +434,13 @@ def _orbit_presentation(quandle, u):
     which every orbit vector meets. So every solution meets the cocycle
     condition at all n^3 triples, and with its diagonal orbits pinned it is a
     cocycle: it is not re-verified. With no free orbit there is no relation.
+    P depends only on (Q, u), so the quandle caches it per base point.
     """
     if not quandle.is_latin:
         raise NotLatin("cocycle enumeration needs a latin quandle")
+    _check_base_point(quandle, u)  # before the cache, which only valid points enter
+    if u in quandle._presentations:
+        return quandle._presentations[u]
     n = quandle.size
     block, sizes = _fgh_orbits(quandle, u)
     pinned = {block[p] for x in range(n) for p in (x * n + x, x * n + u, u * n + x)}
@@ -469,7 +473,8 @@ def _orbit_presentation(quandle, u):
         (shared.setdefault(find(parent, i), 1 + len(free) + len(shared)), a, b)
         for (a, b), i in products.items()
     ]
-    return block, var, 1 + len(free) + len(shared), relations
+    presentation = block, var, 1 + len(free) + len(shared), relations
+    return quandle._presentations.setdefault(u, presentation)
 
 
 def _normalized_vectors(quandle, coeff, u, node_budget):

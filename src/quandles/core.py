@@ -144,7 +144,8 @@ def _validate_table(table):
 class Quandle:
     """A finite quandle on points 0..n-1, with its full n x n table."""
 
-    __slots__ = ("table", "_left_section", "_division", "_latin", "_lmlt", "_generators")
+    __slots__ = ("table", "_left_section", "_division", "_latin", "_lmlt", "_generators",
+                 "_presentations")
 
     def __init__(self, table, *, _checked=False):
         self._clear_caches()
@@ -155,6 +156,7 @@ class Quandle:
 
     def _clear_caches(self):
         self._left_section = self._division = self._latin = self._lmlt = self._generators = None
+        self._presentations = {}  # cocycles._orbit_presentation by base point
 
     @property
     def size(self):

@@ -869,6 +869,30 @@ def test_h2c_without_free_orbit_searches_no_relation(monkeypatch):
     assert received == [[]] * 12
 
 
+def test_orbit_presentation_is_built_once_per_quandle_and_base_point(monkeypatch):
+    """h2c and normalized_cocycles over several groups on one quandle build
+    P(Q, u) once per base point. The cache lives on the object: another
+    quandle with the same table builds its own and gets the same answers, and
+    a point outside the quandle is still refused."""
+    built = []
+    fgh_orbits = cmod._fgh_orbits
+    monkeypatch.setattr(cmod, "_fgh_orbits", lambda quandle, u: built.append(u) or fgh_orbits(quandle, u))
+    coeffs = [CoeffGroup.abelian((2,)), CoeffGroup.abelian((3,)), CoeffGroup.symmetric(3)]
+    quandle = q.affine_quandle(FinAbGroup((3, 3)), [[2, 0], [0, 2]])
+    answers = {}
+    for u in (0, 8):
+        answers[u] = [(q.h2c(quandle, coeff, u), normalized_cocycles(quandle, coeff, u))
+                      for coeff in coeffs]
+    assert built == [0, 8]
+    twin = q.from_table(quandle.table)
+    assert [(q.h2c(twin, coeff, 8), normalized_cocycles(twin, coeff, 8))
+            for coeff in coeffs] == answers[8]
+    assert built == [0, 8, 8]
+    for u in (-1, 9, True):
+        with pytest.raises(ValueError):
+            q.h2c(quandle, coeffs[0], u)
+
+
 def test_normalized_cocycles_are_invariant(small_affine_corpus, small_coeffs):
     """Every emitted u-normalized cocycle is f-, g- and h-invariant."""
     for _, quandle in small_affine_corpus:

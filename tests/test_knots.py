@@ -16,8 +16,16 @@ from quandles.knots import (
     parse_gauss,
     unknot,
 )
-from quandles.perms import Perm
-from conftest import beta_a_table, braid_closure_gauss, build_affine, reference_colorings
+from quandles.perms import Perm, orbits
+from conftest import (
+    beta_a_table,
+    braid_closure_gauss,
+    build_affine,
+    companion,
+    least_budget,
+    primitive_polynomial,
+    reference_colorings,
+)
 
 
 def transposition_quandle():
@@ -126,11 +134,109 @@ def test_fox_count_on_torus_knots(p):
 
 
 def test_coloring_budget(monkeypatch, r3):
+    """The pinned search of ``col_count`` visits one subtree of the full one:
+    trefoil by R_3 needs 13 nodes listed and 4 counted, so under a cap of 5
+    it is counted but cannot be listed."""
     diagram = parse_gauss(GAUSS_CODES["trefoil_right"])
     assert len(colorings(diagram, r3)) == 9
+
+    def under_cap(fn):
+        def run(budget):
+            monkeypatch.setattr(knots, "MAX_COLORING_NODES", budget)
+            return fn(diagram, r3)
+        return run
+
+    assert least_budget(under_cap(colorings)) == 13
+    assert least_budget(under_cap(col_count)) == 4
     monkeypatch.setattr(knots, "MAX_COLORING_NODES", 5)
+    assert col_count(diagram, r3) == 6
     with pytest.raises(BudgetExceeded):
         colorings(diagram, r3)
+
+
+# braid words of the twist knots 4_1, 5_2 and 6_1, with their strand counts
+TWIST_BRAIDS = {
+    "4_1": ((1, -2, 1, -2), 3),
+    "5_2": ((1, 1, 1, 2, -1, 2), 3),
+    "6_1": ((1, 1, 2, -1, -3, 2, -3), 4),
+}
+
+
+def knot_codes():
+    """The Gauss codes by name: the fixtures, the torus knots T(2, c) for
+    c in 3, 5, 7, 9, and the twist knots."""
+    codes = dict(GAUSS_CODES)
+    for c in (3, 5, 7, 9):
+        codes[f"T{c}"] = braid_closure_gauss((1,) * c, 2)
+    for name, (word, strands) in TWIST_BRAIDS.items():
+        codes[name] = braid_closure_gauss(word, strands)
+    return codes
+
+
+def test_col_count_matches_colorings_across_orbits(q4):
+    """``col_count`` searches once per Inn(Q)-orbit, so it must equal the
+    full list minus the constant colorings on connected quandles (one orbit)
+    and disconnected ones (several orbits, of sizes 3 and 1 for R_3 with a
+    point added that every translation fixes), in both conventions."""
+    trivial_cover = q.extend(q4, q.trivial_cocycle(q4, CoeffGroup.symmetric(2))).total
+    r3_and_point = q.from_table([[*row, 3] for row in q.dihedral_quandle(3).table] + [[0, 1, 2, 3]])
+    aff_f8 = q.affine_quandle(q.FinAbGroup((2, 2, 2)), companion(primitive_polynomial(2, 3)))
+    quandles = {
+        "R3": q.dihedral_quandle(3),
+        "R5": q.dihedral_quandle(5),
+        "R7": q.dihedral_quandle(7),
+        "q4": q4,
+        "Q(Z_3^2, -1)": build_affine("z3sq_neg"),
+        "Aff(F_8)": aff_f8,
+        "R4": q.dihedral_quandle(4),
+        "R6": q.dihedral_quandle(6),
+        "R8": q.dihedral_quandle(8),
+        "trivial3": q.projection_quandle(3),
+        "q4 x Sym(2)": trivial_cover,
+        "R3 + point": r3_and_point,
+    }
+    orbit_counts = {name: len(orbits(quandle.table, quandle.size)[1])
+                    for name, quandle in quandles.items()}
+    assert orbit_counts == {**dict.fromkeys(["R3", "R5", "R7", "q4", "Q(Z_3^2, -1)", "Aff(F_8)"], 1),
+                            "R4": 2, "R6": 2, "R8": 2, "trivial3": 3, "q4 x Sym(2)": 2,
+                            "R3 + point": 2}
+    cases = 0
+    for code_name, code in knot_codes().items():
+        diagram = parse_gauss(code)
+        for qname, quandle in quandles.items():
+            for mirror_convention in (False, True):
+                listed = len(colorings(diagram, quandle, mirror_convention=mirror_convention))
+                assert col_count(diagram, quandle, mirror_convention=mirror_convention) == (
+                    listed - quandle.size
+                ), (code_name, qname, mirror_convention)
+                cases += 1
+    assert cases == 13 * 12 * 2
+
+
+def test_cocycle_invariant_labels_move_under_inner_automorphisms(monkeypatch):
+    """The invariant cannot be read off the colorings with arc 0 pinned: on
+    6_1 by Q(Z_3^2, -1) with a nontrivial class over Z_3, those with arc 0
+    colored 0 are all labeled (0), while every other color at arc 0 splits
+    them 2, 3, 3 over the three classes."""
+    quandle = build_affine("z3sq_neg")
+    beta = q.h2c(quandle, CoeffGroup.abelian((3,)))[1]
+    assert not beta.is_trivial()
+    diagram = parse_gauss(knot_codes()["6_1"])
+    for mirror_convention in (False, True):
+        full = colorings(diagram, quandle, mirror_convention=mirror_convention)
+        by_color = {}
+        for x in range(quandle.size):
+            pinned = [c for c in full if c[0] == x]
+            monkeypatch.setattr(knots, "colorings", lambda *args, **kwargs: pinned)
+            by_color[x] = cocycle_invariant(diagram, quandle, beta,
+                                            mirror_convention=mirror_convention)
+        monkeypatch.undo()
+        assert by_color[0] == ("(0)",) * 8
+        for x in range(1, quandle.size):
+            assert by_color[x] == ("(0)",) * 2 + ("(1)",) * 3 + ("(2)",) * 3, x
+        assert sorted(sum(by_color.values(), ())) == list(
+            cocycle_invariant(diagram, quandle, beta, mirror_convention=mirror_convention)
+        )
 
 
 def test_unknot_has_no_multicolor(r3):
