@@ -79,7 +79,7 @@ from .knots import (
     parse_gauss,
     unknot,
 )
-from .perms import Perm, PermGroup, closure, orbits
+from .perms import PermGroup, closure, orbits
 from .pi1 import (
     Pi1Presentation,
     is_simply_connected_affine,

@@ -36,7 +36,7 @@ from operator import itemgetter
 from .abelian import FinAbGroup
 from .core import CoeffGroup, Quandle, _is_index_list
 from .errors import InvalidCocycle, NotLatin
-from .perms import Perm, orbits
+from .perms import cycles, orbits
 from .search import find, solutions, union
 
 DEFAULT_H2C_NODE_BUDGET = 10**6
@@ -355,13 +355,13 @@ def _fgh_orbits(quandle, u):
     n = quandle.size
     t = quandle.table
     left_inv, cols = quandle._division_rows()  # cols[b][a] = a/b
-    cycles = Perm(t[u]).cycles(include_fixed=True)
+    cycles_u = cycles(t[u])
     # a row composed with L_u^-1; with one point, itemgetter gives an entry
     back = itemgetter(*left_inv[u]) if n > 1 else tuple
     labels, label_sizes = [None] * n, []
-    for cycle in cycles:
+    for cycle in cycles_u:
         row = [0] * n
-        for other in cycles:
+        for other in cycles_u:
             k, first = gcd(len(cycle), len(other)), len(label_sizes)
             for i, y in enumerate(other):
                 row[y] = first + i % k
@@ -372,7 +372,7 @@ def _fgh_orbits(quandle, u):
             row = back(row)
     parent = list(range(len(label_sizes)))
     over_u = cols[u]
-    for r, *_ in cycles:
+    for r, *_ in cycles_u:
         tr, lr, under = t[r], labels[r], cols[left_inv[r][u]]
         f_column = tr[u]  # f(r, y) = (r*(y/u), r*u)
         for y in range(n):

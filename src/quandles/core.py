@@ -29,7 +29,7 @@ from .errors import (
     NotLeftQuasigroup,
     SubgroupNotFixed,
 )
-from .perms import Perm, PermGroup, _after, orbits
+from .perms import PermGroup, _after, _inverse, _permutation_tuples, cycles, orbits
 from .search import division_rows, solutions
 
 ISOMORPHISM_SIZE_CAP = 12
@@ -144,8 +144,7 @@ def _validate_table(table):
 class Quandle:
     """A finite quandle on points 0..n-1, with its full n x n table."""
 
-    __slots__ = ("table", "_left_section", "_division", "_latin", "_lmlt", "_generators",
-                 "_presentations")
+    __slots__ = ("table", "_division", "_latin", "_lmlt", "_generators", "_presentations")
 
     def __init__(self, table, *, _checked=False):
         self._clear_caches()
@@ -155,7 +154,7 @@ class Quandle:
             self.table, self._generators = _validate_table(table)
 
     def _clear_caches(self):
-        self._left_section = self._division = self._latin = self._lmlt = self._generators = None
+        self._division = self._latin = self._lmlt = self._generators = None
         self._presentations = {}  # cocycles._orbit_presentation by base point
 
     @property
@@ -164,13 +163,6 @@ class Quandle:
 
     def op(self, x, y):
         return self.table[x][y]
-
-    @property
-    def left_section(self):
-        """The left translations L_x, one permutation per row."""
-        if self._left_section is None:
-            self._left_section = tuple(Perm(row) for row in self.table)
-        return self._left_section
 
     def _division_rows(self):
         r"""Cached :func:`search.division_rows`: left[x][y] = x \ y and, on a
@@ -211,15 +203,18 @@ class Quandle:
         which gives the group of all n rows because L_{x*y} = L_x L_y L_x^-1.
         """
         if self._lmlt is None:
-            rows = self.left_section
-            group = PermGroup((rows[x] for x in self._generating_set()), degree=self.size)
+            group = PermGroup([self.table[x] for x in self._generating_set()], degree=self.size)
             group.chain()
             self._lmlt = group
         return self._lmlt
 
+    def _lmlt_orbits(self):
+        """:func:`perms.orbits` of LMlt, read off the generators of :meth:`lmlt`."""
+        return orbits([self.table[x] for x in self._generating_set()], self.size)
+
     def is_connected(self):
         """True iff the left multiplication group acts transitively."""
-        return len(orbits(self.table, self.size)[1]) == 1
+        return len(self._lmlt_orbits()[1]) == 1
 
     def is_doubly_transitive(self):
         """True iff LMlt acts transitively on ordered pairs of distinct points."""
@@ -229,16 +224,14 @@ class Quandle:
         """Common length of all nontrivial translation cycles; None if mixed.
 
         Returns 1 when no left translation moves anything (projection
-        quandles), since then every length works vacuously.
+        quandles), since then every length works vacuously. Translations
+        in one LMlt orbit are conjugate, L_{g(x)} = g L_x g^-1, so one row
+        per orbit gives every cycle length.
         """
-        lengths = set()
-        for p in self.left_section:
-            lengths.update(len(c) for c in p.cycles())
-        if not lengths:
-            return 1
-        if len(lengths) == 1:
-            return lengths.pop()
-        return None
+        t = self.table
+        lengths = {len(c) for block in self._lmlt_orbits()[1] for c in cycles(t[block[0]])}
+        lengths.discard(1)
+        return None if len(lengths) > 1 else max(lengths, default=1)
 
     def restrict(self, subset):
         """The subquandle on ``subset``; raises ValueError on points outside
@@ -283,7 +276,8 @@ def projection_quandle(n):
 
 
 def conjugation_quandle(elements):
-    """The quandle x*y = x y x^-1 on a list of permutations.
+    """The quandle x*y = x y x^-1 on a list of permutations, each given as
+    its image tuple; ValueError unless all are permutations of one degree.
 
     The list must be closed under mutual conjugation; points are indexed in
     the order given. Conjugation is an injective, idempotent and
@@ -293,6 +287,7 @@ def conjugation_quandle(elements):
     elements = list(elements)
     if not elements:
         raise ValueError("empty table")
+    elements = _permutation_tuples(elements)
     index = {}
     for i, g in enumerate(elements):
         if g in index:
@@ -300,9 +295,9 @@ def conjugation_quandle(elements):
         index[g] = i
     table = []
     for x in elements:
-        row, x_inv = [], x.inverse()
+        row, x_inv = [], _inverse(x)
         for y in elements:
-            conj = x * y * x_inv
+            conj = _after(_after(x, y), x_inv)
             if conj not in index:
                 raise NotClosedUnderConjugation(
                     f"{x!r} * {y!r} * {x!r}^-1 = {conj!r} is not in the set"
@@ -663,9 +658,10 @@ def coset_quandle(group, subgroup, automorphism):
 
     For a FinAbGroup, ``subgroup`` is a list of element tuples and
     ``automorphism`` an AbHom; other inputs use element indices and an
-    index-level map. Each input becomes a :class:`CoeffGroup` by its own
-    constructor, so only a Cayley table is validated; permutation groups are
-    tabulated with elements sorted by image tuples. A group above
+    index-level map, which over a PermGroup may instead list image tuples.
+    Each input becomes a :class:`CoeffGroup` by its own constructor, so only
+    a Cayley table is validated; permutation groups are tabulated with
+    elements sorted by image tuples. A group above
     ``MAX_COEFF_ORDER`` raises BudgetExceeded before any element is listed.
     """
     if isinstance(group, FinAbGroup):
@@ -680,17 +676,18 @@ def coset_quandle(group, subgroup, automorphism):
         return CosetQuandle(CoeffGroup.from_cayley(group), subgroup, automorphism)
     order = group.order()
     _check_order(order, f"perm({order})")
-    coeff = CoeffGroup._permutations((p.images for p in group.elements()), f"perm({order})")
+    coeff = CoeffGroup._permutations(group.elements(), f"perm({order})")
 
     def element(p):
         if p not in group:
             raise ValueError(f"{p!r} is not an element of the group")
-        return coeff.perm_index(p.images)
+        return coeff.perm_index(p)
 
-    sub = [element(p) if isinstance(p, Perm) else p for p in subgroup]
+    # an int is an element index, anything else an image tuple
+    sub = [p if isinstance(p, int) else element(p) for p in subgroup]
     # a list, so that peeking at the first image consumes no iterator
     auto = list(automorphism)
-    if auto and isinstance(auto[0], Perm):
+    if auto and not isinstance(auto[0], int):
         auto = [element(p) for p in auto]
     return CosetQuandle(coeff, sub, auto)
 

@@ -27,7 +27,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import InconsistentSigns, InvalidCocycle, MalformedCode
-from .perms import orbits
 from .search import solutions
 
 _TOKEN_RE = re.compile(r"^([OU])(\d+)([+-])$")
@@ -157,7 +156,7 @@ def col_count(diagram, quandle, *, mirror_convention=False):
     """
     relations, free = _relations(diagram, mirror_convention), [-1] * (diagram.arc_count - 1)
     total = -quandle.size
-    for orbit in orbits(quandle.table, quandle.size)[1]:
+    for orbit in quandle._lmlt_orbits()[1]:
         found = solutions(quandle, relations, [orbit[0]] + free,
                           budget=MAX_COLORING_NODES, what="coloring")
         total += len(orbit) * sum(1 for _ in found)

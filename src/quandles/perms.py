@@ -1,5 +1,10 @@
 """Permutations of {0,...,n-1} and the groups they generate.
 
+A permutation has one form: the tuple of its images of 0..n-1, as in a
+quandle table row. :func:`_after` composes two, :func:`_inverse` inverts
+one and :func:`cycles` lists its cycles; :class:`PermGroup`, :func:`closure`
+and the quandle constructors check that each input is a permutation.
+
 A group's order, membership and double transitivity are read off a
 stabilizer chain built by deterministic Schreier-Sims (Sims 1970; Seress,
 *Permutation Group Algorithms*, 2003), so no element is listed. The full
@@ -31,78 +36,40 @@ def _inverse(a):
     return tuple(inv)
 
 
-class Perm:
-    """An immutable permutation, stored as the tuple of images of 0..n-1."""
+def _is_permutation(images, degree):
+    """True iff the tuple ``images`` holds each int 0..degree-1 once; a bool
+    is no entry."""
+    return (len(images) == degree and set(map(type, images)) <= {int}
+            and set(images) == set(range(degree)))
 
-    __slots__ = ("images",)
 
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
-        self.images = images
+def _permutation_tuples(maps, degree=None):
+    """``maps`` as image tuples, each a permutation of 0..degree-1; the
+    degree defaults to the first map's length. Raises ValueError otherwise."""
+    maps = tuple(map(tuple, maps))
+    if degree is None:
+        if not maps:
+            raise ValueError("need generators or an explicit degree")
+        degree = len(maps[0])
+    for images in maps:
+        if not _is_permutation(images, degree):
+            raise ValueError(f"not a permutation of 0..{degree - 1}: {images!r}")
+    return maps
 
-    @classmethod
-    def identity(cls, degree):
-        return cls(range(degree))
 
-    @classmethod
-    def from_cycles(cls, degree, cycles):
-        """Build a permutation from disjoint cycles, e.g. ``from_cycles(3, [(0, 1)])``."""
-        images = list(range(degree))
-        for cycle in cycles:
-            cycle = tuple(cycle)
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-        return cls(images)
-
-    @property
-    def degree(self):
-        return len(self.images)
-
-    def __call__(self, point):
-        return self.images[point]
-
-    def __mul__(self, other):
-        """Composition ``self * other``: apply ``other`` first, then ``self``."""
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Perm(_after(self.images, other.images))
-
-    def inverse(self):
-        return Perm(_inverse(self.images))
-
-    def cycles(self, include_fixed=False):
-        """Disjoint cycles, each rotated to start at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            point = self.images[start]
+def cycles(images):
+    """Every cycle of the permutation ``images``, fixed points included, each
+    starting at its least point, in the order of those points."""
+    seen, out = set(), []
+    for start in range(len(images)):
+        if start not in seen:
+            cycle, point = [start], images[start]
             while point != start:
                 cycle.append(point)
-                seen[point] = True
-                point = self.images[point]
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
-        return out
-
-    def orbit_of(self, point):
-        """The cycle of ``point``, as a set."""
-        index, blocks = orbits([self.images], self.degree)
-        return set(blocks[index[point]])
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Perm({list(self.images)!r})"
+                point = images[point]
+            seen.update(cycle)
+            out.append(tuple(cycle))
+    return out
 
 
 def closure(generators, cap=DEFAULT_CLOSURE_CAP):
@@ -111,20 +78,15 @@ def closure(generators, cap=DEFAULT_CLOSURE_CAP):
     Raises :class:`BudgetExceeded` once more than ``cap`` elements appear, which
     certifies that the generated group is larger than ``cap``.
     """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
-    degree = generators[0].degree
-    if any(g.degree != degree for g in generators):
-        raise ValueError("generators must share a degree")
-    elements = {Perm.identity(degree)}
+    generators = _permutation_tuples(generators)
+    elements = {tuple(range(len(generators[0])))}
     frontier = [g for g in generators if g not in elements]
     elements.update(frontier)
     while frontier:
         new = []
         for g in generators:
             for h in frontier:
-                prod = g * h
+                prod = _after(g, h)
                 if prod not in elements:
                     elements.add(prod)
                     if len(elements) > cap:
@@ -257,33 +219,26 @@ class StabilizerChain:
 
 
 class PermGroup:
-    """A permutation group given by generators, with a stabilizer chain built
-    on demand; the element list is enumerated only when asked for."""
+    """A permutation group given by image-tuple generators of one degree, with
+    a stabilizer chain built on demand; the element list, a frozenset of
+    image tuples, is enumerated only when asked for."""
 
     __slots__ = ("degree", "generators", "_elements", "_chain")
 
     def __init__(self, generators, degree=None):
-        generators = tuple(generators)
-        if degree is None:
-            if not generators:
-                raise ValueError("need generators or an explicit degree")
-            degree = generators[0].degree
-        if any(g.degree != degree for g in generators):
-            raise ValueError("generators must share a degree")
-        self.degree = degree
-        self.generators = generators
+        self.generators = generators = _permutation_tuples(generators, degree)
+        self.degree = len(generators[0]) if generators else degree
         self._elements = None
         self._chain = None
 
     def chain(self):
         if self._chain is None:
-            self._chain = StabilizerChain([g.images for g in self.generators], self.degree)
+            self._chain = StabilizerChain(self.generators, self.degree)
         return self._chain
 
     def elements(self):
         if self._elements is None:
-            gens = self.generators or (Perm.identity(self.degree),)
-            self._elements = closure(gens)
+            self._elements = closure(self.generators or (tuple(range(self.degree)),))
         return self._elements
 
     def order(self):
@@ -300,13 +255,15 @@ class PermGroup:
         lengths = [*self.chain().orbit_lengths, 1]
         return lengths[0] == n and lengths[1] == n - 1
 
-    def __contains__(self, perm):
+    def __contains__(self, images):
+        """Whether the sequence ``images`` is the image tuple of an element;
+        False, never an error, for anything that is no permutation."""
+        try:
+            images = tuple(images)
+        except TypeError:
+            return False
         chain = self.chain()
-        return (
-            isinstance(perm, Perm)
-            and perm.degree == self.degree
-            and chain.sift(perm.images)[0] == chain.identity
-        )
+        return _is_permutation(images, self.degree) and chain.sift(images)[0] == chain.identity
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"

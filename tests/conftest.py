@@ -21,6 +21,7 @@ from quandles.errors import (
     NotLeftQuasigroup,
     NotSurjective,
 )
+from quandles.perms import _after
 
 # connected affine quandles of order <= 16: (name, moduli, automorphism matrix)
 AFFINE_CORPUS_DEFS = [
@@ -143,11 +144,28 @@ def relabel(quandle, seed):
     return q.Quandle(table)
 
 
+def from_cycles(degree, cycles):
+    """The image tuple of the permutation with the given disjoint cycles,
+    e.g. ``from_cycles(3, [(0, 1)]) == (1, 0, 2)``."""
+    images = list(range(degree))
+    for cycle in cycles:
+        cycle = tuple(cycle)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return tuple(images)
+
+
+def cycle_lengths(images):
+    """The length of the cycle through each point of the permutation ``images``."""
+    index, blocks = q.orbits([images], len(images))
+    return [len(blocks[i]) for i in index]
+
+
 def transposition_quandle(k):
     """The conjugation quandle on the k(k-1)/2 transpositions of Sym(k),
     in lexicographic order of their pairs; its LMlt is Sym(k)."""
     return q.conjugation_quandle(
-        q.Perm.from_cycles(k, [(i, j)]) for i in range(k) for j in range(i + 1, k)
+        from_cycles(k, [(i, j)]) for i in range(k) for j in range(i + 1, k)
     )
 
 
@@ -567,14 +585,14 @@ def reference_pair_partition(quandle, u, gens):
 
 def pair_perm(p):
     """The induced permutation of ordered pairs, indexed by x*n + y."""
-    n = p.degree
-    return q.Perm(p(x) * n + p(y) for x in range(n) for y in range(n))
+    n = len(p)
+    return tuple(p[x] * n + p[y] for x in range(n) for y in range(n))
 
 
 def reference_is_doubly_transitive(generators, degree):
     """Transitivity on ordered distinct pairs, via the orbit of (0, 1) under
     the n^2-point pair permutations."""
-    index, blocks = q.orbits([pair_perm(g).images for g in generators], degree * degree)
+    index, blocks = q.orbits([pair_perm(g) for g in generators], degree * degree)
     return len(blocks[index[1]]) == degree * (degree - 1)
 
 
@@ -647,10 +665,10 @@ def f_orbit_length_by_recursion(quandle, u, x, y):
     phi^((k+1)/2)(y/u) for odd k; the length is the first k where it is x."""
     n = quandle.size
     yu = quandle.right_divide(y, u)
-    phi = quandle.left_section[x] * quandle.left_section[yu]
+    phi = _after(quandle.table[x], quandle.table[yu])
     points = [x, yu]
     for k in range(1, n * n + 1):
-        points[k % 2] = phi(points[k % 2])
+        points[k % 2] = phi[points[k % 2]]
         if points[k % 2] == x:
             return k
     return None

@@ -21,7 +21,7 @@ from quandles.cocycles import (
 from quandles.coverings import coverings_equivalent, extend, is_covering, quotient
 from quandles.knots import GAUSS_CODES, cocycle_invariant, col_count, parse_gauss
 from quandles.pi1 import pi1_presentation
-from conftest import apply_pair, beta_a_table, build_affine
+from conftest import apply_pair, beta_a_table, build_affine, cycle_lengths
 
 
 def report(number, text):
@@ -172,7 +172,7 @@ def test_criterion_7_orbit_formulas(affine_corpus):
         group, alpha = quandle.group, quandle.alpha
         elems = group.elements()
         h = pair_map(quandle, 0, "h")
-        l0 = quandle.left_section[0]
+        l0 = cycle_lengths(quandle.table[0])
         lengths = {}
         for x in range(n):
             for y in range(n):
@@ -195,7 +195,7 @@ def test_criterion_7_orbit_formulas(affine_corpus):
                 assert h_len == group.order_of(elems[y])
                 assert (h_len == 1) == (y == 0)
                 # even translation-cycle dichotomy
-                ell = len(l0.orbit_of(group.index_of(z)))
+                ell = l0[group.index_of(z)]
                 if ell % 2 == 0:
                     total = group.zero
                     term = z
@@ -213,7 +213,7 @@ def test_criterion_7_orbit_formulas(affine_corpus):
         # g-orbit lcm law
         for block in full_partition(quandle, 0, "g").blocks:
             x, y = divmod(block[0], n)
-            assert len(block) == math.lcm(len(l0.orbit_of(x)), len(l0.orbit_of(y)))
+            assert len(block) == math.lcm(l0[x], l0[y])
             assert (len(block) == 1) == ((x, y) == (0, 0))
         # uniform non-fixed f-orbit length on doubly transitive quandles;
         # the odd-prime value formula needs F <= |X| - 1, i.e. 1 + alpha

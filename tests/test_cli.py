@@ -505,6 +505,33 @@ def test_h2c_bytes_are_pinned(capsys, tmp_path, monkeypatch, r3, q4):
     assert digest.hexdigest() == H2C_GOLDEN_DIGEST
 
 
+# sha256 of every report of test_check_bytes_are_pinned, recorded before the
+# LMlt predicates were read at the generating set and the permutation class
+# gave way to image tuples; the check bytes must not change
+CHECK_GOLDEN_DIGEST = "8ccc4c5cc71e25e9202470234f0dca59886f44dd61025dfd2db20cf50387e930"
+
+
+def test_check_bytes_are_pinned(capsys, tmp_path, monkeypatch, r3, q4):
+    """check on r3, q4, a projection table and the 45 transpositions of
+    Sym(10), plain and --json, read by relative name since --json echoes the
+    path; every field reads an LMlt predicate."""
+    tables = [
+        ("r3", r3),
+        ("q4", q4),
+        ("p3", q.projection_quandle(3)),
+        ("sym10_transpositions", transposition_quandle(10)),
+    ]
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for name, quandle in tables:
+        (tmp_path / f"{name}.txt").write_text(q.quandle_to_text(quandle))
+        for flags in ((), ("--json",)):
+            argv = (*flags, "check", f"{name}.txt")
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{argv} {code}\n{out}\x00{err}\x00".encode())
+    assert digest.hexdigest() == CHECK_GOLDEN_DIGEST
+
+
 def test_traced_orbits_are_charged_to_the_partition_layer(capsys, table_files):
     """The benchmark tracer, read as text as in test_trace_contract.py, times
     the orbits partitions as ``cocycles.partition_s``, not as CLI time."""

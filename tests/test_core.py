@@ -10,11 +10,14 @@ from conftest import (
     PRIMITIVE_FIELDS,
     automorphism_order,
     corrupt,
+    cycle_lengths,
     endomorphism,
+    from_cycles,
     off_diagonal_swap,
     outcome,
     primitive_affine,
     reference_are_isomorphic,
+    reference_colorings,
     reference_is_doubly_transitive,
     reference_validate_table,
     refuse_table,
@@ -32,7 +35,8 @@ from quandles.errors import (
     NotLeftQuasigroup,
     SubgroupNotFixed,
 )
-from quandles.perms import Perm, closure
+from quandles.knots import GAUSS_CODES, col_count, parse_gauss
+from quandles.perms import _after, _inverse, closure, cycles, orbits
 
 R3_TABLE = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
@@ -99,9 +103,9 @@ def test_projection_quandle():
 
 def test_conjugation_quandle_transpositions():
     transpositions = [
-        Perm.from_cycles(3, [(0, 1)]),
-        Perm.from_cycles(3, [(0, 2)]),
-        Perm.from_cycles(3, [(1, 2)]),
+        from_cycles(3, [(0, 1)]),
+        from_cycles(3, [(0, 2)]),
+        from_cycles(3, [(1, 2)]),
     ]
     conj = validated(q.conjugation_quandle(transpositions))
     assert conj.size == 3
@@ -111,7 +115,7 @@ def test_conjugation_quandle_transpositions():
 
 
 def test_conjugation_quandle_identity():
-    assert validated(q.conjugation_quandle([Perm.identity(3)])).size == 1
+    assert validated(q.conjugation_quandle([(0, 1, 2)])).size == 1
     with pytest.raises(ValueError):
         q.conjugation_quandle([])
 
@@ -119,14 +123,14 @@ def test_conjugation_quandle_identity():
 def test_conjugation_quandle_not_closed():
     with pytest.raises(NotClosedUnderConjugation):
         q.conjugation_quandle(
-            [Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])]
+            [from_cycles(3, [(0, 1)]), from_cycles(3, [(0, 1, 2)])]
         )
 
 
 def test_affine_examples(r3, q4):
     assert r3.op(0, 1) == 2
     assert r3.op(1, 0) == 2
-    assert r3.left_section[0].images == tuple(
+    assert r3.table[0] == tuple(
         r3.group.index_of(r3.alpha(x)) for x in r3.group.elements()
     )
     assert q4.is_doubly_transitive()
@@ -178,7 +182,7 @@ def test_affine_left_translations_are_translated_alpha(small_affine_corpus):
             expected = tuple(
                 group.index_of(group.add(shift, alpha(y))) for y in group.elements()
             )
-            assert quandle.left_section[x].images == expected
+            assert quandle.table[x] == expected
 
 
 def test_coset_quandle_full_subgroup_is_trivial():
@@ -227,8 +231,8 @@ def test_coset_quandle_refuses_non_integer_entries():
 
 def test_coset_quandle_from_perm_group():
     # Sym(3), and the dihedral group of order 8 inside Sym(4)
-    for gens in ([Perm.from_cycles(3, [(0, 1)]), Perm.from_cycles(3, [(0, 1, 2)])],
-                 [Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.from_cycles(4, [(0, 2)])]):
+    for gens in ([from_cycles(3, [(0, 1)]), from_cycles(3, [(0, 1, 2)])],
+                 [from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)])]):
         group = q.PermGroup(gens)
         n = group.order()
         identity_map = list(range(n))
@@ -236,7 +240,7 @@ def test_coset_quandle_from_perm_group():
         assert quandle.size == n
         assert quandle.table == q.projection_quandle(n).table
         # the group is held as the composition table of the sorted image tuples
-        coeff, images = quandle.group, sorted(p.images for p in group.elements())
+        coeff, images = quandle.group, sorted(group.elements())
         assert [coeff.perm_images(a) for a in range(n)] == images
         assert all(coeff.perm_images(coeff.mul(a, b)) == tuple(images[a][i] for i in images[b])
                    for a in range(n) for b in range(n))
@@ -244,11 +248,10 @@ def test_coset_quandle_from_perm_group():
 
 def test_coset_quandle_takes_one_shot_image_iterators():
     # conjugation by s = (0 1) on Sym(3), which fixes the subgroup {1, s}
-    s = Perm.from_cycles(3, [(0, 1)])
-    group = q.PermGroup([s, Perm.from_cycles(3, [(0, 1, 2)])])
-    elements = sorted(group.elements(), key=lambda p: p.images)
-    images = [s * p * s.inverse() for p in elements]
-    subgroup = [Perm.identity(3), s]
+    s = from_cycles(3, [(0, 1)])
+    group = q.PermGroup([s, from_cycles(3, [(0, 1, 2)])])
+    images = [_after(_after(s, p), _inverse(s)) for p in sorted(group.elements())]
+    subgroup = [(0, 1, 2), s]
     expected = validated(q.coset_quandle(group, subgroup, images))
     assert expected.size == 3
     # peeking at the first image must not consume it
@@ -257,13 +260,13 @@ def test_coset_quandle_takes_one_shot_image_iterators():
 
 
 def test_coset_quandle_refuses_perms_outside_the_group():
-    """A subgroup or automorphism Perm that is no group element is a
+    """A subgroup or automorphism image tuple that is no group element is a
     ValueError naming it, not a KeyError."""
-    group = q.PermGroup([Perm([1, 0, 2])])
-    with pytest.raises(ValueError, match=r"Perm\(\[0, 2, 1\]\)"):
-        q.coset_quandle(group, [Perm([0, 2, 1])], [0, 1])
-    with pytest.raises(ValueError, match=r"Perm\(\[1, 2, 0\]\)"):
-        q.coset_quandle(group, [Perm([0, 1, 2])], [Perm([0, 1, 2]), Perm([1, 2, 0])])
+    group = q.PermGroup([(1, 0, 2)])
+    with pytest.raises(ValueError, match=r"\(0, 2, 1\)"):
+        q.coset_quandle(group, [(0, 2, 1)], [0, 1])
+    with pytest.raises(ValueError, match=r"\(1, 2, 0\)"):
+        q.coset_quandle(group, [(0, 1, 2)], [(0, 1, 2), (1, 2, 0)])
 
 
 def test_divisions(r3):
@@ -426,17 +429,17 @@ def test_latin_implies_connected(affine_corpus):
 def test_conjugation_closure_of_left_sections(affine_corpus):
     # L_y L_x L_y^-1 = L_{y*x}
     for _, quandle in affine_corpus:
-        section = quandle.left_section
+        section = quandle.table
         for y in range(quandle.size):
             for x in range(quandle.size):
-                conj = section[y] * section[x] * section[y].inverse()
+                conj = _after(_after(section[y], section[x]), _inverse(section[y]))
                 assert conj == section[quandle.op(y, x)]
 
 
 def test_doubly_transitive_have_full_cycle_translation(doubly_transitive_corpus):
     for name, quandle in doubly_transitive_corpus:
-        cycles = quandle.left_section[0].cycles(include_fixed=True)
-        assert sorted(map(len, cycles), reverse=True) == [quandle.size - 1, 1], name
+        lengths = map(len, cycles(quandle.table[0]))
+        assert sorted(lengths, reverse=True) == [quandle.size - 1, 1], name
 
 
 def test_doubly_transitive_matches_pair_orbit(affine_corpus):
@@ -449,7 +452,7 @@ def test_doubly_transitive_matches_pair_orbit(affine_corpus):
     ]
     for name, quandle in quandles:
         n = quandle.size
-        expected = n >= 2 and reference_is_doubly_transitive(quandle.left_section, n)
+        expected = n >= 2 and reference_is_doubly_transitive(quandle.table, n)
         assert quandle.is_doubly_transitive() == expected, name
 
 
@@ -470,7 +473,39 @@ def test_lmlt_generators_give_the_group_of_all_rows(small_affine_corpus):
         ("transpositions4", transposition_quandle(4)),
     ]
     for name, quandle in quandles:
-        assert closure(quandle.lmlt().generators) == closure(quandle.left_section), name
+        assert closure(quandle.lmlt().generators) == closure(quandle.table), name
+
+
+def test_lmlt_predicates_read_at_the_generating_set_match_every_row(affine_corpus, q4):
+    """is_connected and col_count read the LMlt orbits off the rows of the
+    generating set, and semiregular_length one row per orbit; the
+    references read all n rows. The conjugation quandle of Sym(3) without
+    its identity has translation cycles of lengths 2 and 3."""
+    sym3 = sorted(q.PermGroup([(1, 0, 2), (1, 2, 0)]).elements())
+    trivial_cover = q.extend(q4, q.trivial_cocycle(q4, q.CoeffGroup.symmetric(2))).total
+    quandles = [
+        *affine_corpus,
+        *((f"proj{n}", q.projection_quandle(n)) for n in range(1, 5)),
+        ("transpositions4", transposition_quandle(4)),
+        ("sym3_without_identity", q.conjugation_quandle(sym3[1:])),
+        ("q4_trivial_sym2_cover", trivial_cover),
+    ]
+    trefoil = parse_gauss(GAUSS_CODES["trefoil_right"])
+    semiregular = set()
+    for name, quandle in quandles:
+        n = quandle.size
+        index, blocks = orbits(quandle.table, n)
+        assert quandle.is_connected() == (len(blocks) == 1), name
+        lengths = {length for row in quandle.table for length in cycle_lengths(row)} - {1}
+        expected = None if len(lengths) > 1 else max(lengths, default=1)
+        assert quandle.semiregular_length() == expected, name
+        semiregular.add(expected)
+        count = len(reference_colorings(trefoil, quandle)) - n
+        assert col_count(trefoil, quandle) == count, name
+        # col_count weights each orbit's search by its size
+        assert quandle._lmlt_orbits() == (index, blocks), name
+    assert not trivial_cover.is_connected()
+    assert {None, 1, 2, 3} <= semiregular
 
 
 def test_are_isomorphic_examples(r3):
@@ -567,8 +602,7 @@ def swap_corpus(affine_corpus):
     points), projection quandles (every point), the transpositions of Sym(4)
     (not latin) and the conjugation quandle of Sym(3) minus the identity,
     with a component of 3 transpositions and one of 2 three-cycles."""
-    sym3 = sorted(q.PermGroup([q.Perm([1, 0, 2]), q.Perm([1, 2, 0])]).elements(),
-                  key=lambda p: p.images)
+    sym3 = sorted(q.PermGroup([(1, 0, 2), (1, 2, 0)]).elements())
     return [
         *(quandle for _, quandle in affine_corpus),
         *(q.projection_quandle(n) for n in (3, 4, 6)),

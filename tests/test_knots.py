@@ -16,12 +16,13 @@ from quandles.knots import (
     parse_gauss,
     unknot,
 )
-from quandles.perms import Perm, orbits
+from quandles.perms import orbits
 from conftest import (
     beta_a_table,
     braid_closure_gauss,
     build_affine,
     companion,
+    from_cycles,
     least_budget,
     primitive_polynomial,
     reference_colorings,
@@ -32,7 +33,7 @@ def transposition_quandle():
     """Conjugation on the six transpositions of Sym(4): connected, not latin,
     not affine."""
     return q.conjugation_quandle(
-        [Perm.from_cycles(4, [(a, b)]) for a in range(4) for b in range(a + 1, 4)]
+        [from_cycles(4, [(a, b)]) for a in range(4) for b in range(a + 1, 4)]
     )
 
 

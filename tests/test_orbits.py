@@ -5,6 +5,7 @@ import math
 import quandles as q
 from conftest import (
     apply_pair,
+    cycle_lengths,
     f_orbit_length_by_power_sum,
     f_orbit_length_by_recursion,
     induced_g_action,
@@ -47,11 +48,11 @@ def test_f_orbit_length_closed_forms(affine_corpus):
 
 def test_g_orbit_lcm_law(affine_corpus):
     for name, quandle in affine_corpus:
-        l0 = quandle.left_section[0]
+        l0 = cycle_lengths(quandle.table[0])
         part = full_partition(quandle, 0, "g")
         for block in part.blocks:
             x, y = divmod(block[0], quandle.size)
-            expected = math.lcm(len(l0.orbit_of(x)), len(l0.orbit_of(y)))
+            expected = math.lcm(l0[x], l0[y])
             assert len(block) == expected, name
             assert (len(block) == 1) == ((x, y) == (0, 0)), name
 
@@ -94,12 +95,12 @@ def test_f_orbit_even_translation_cycle_dichotomy(affine_corpus):
     for name, quandle in affine_corpus:
         group, alpha = quandle.group, quandle.alpha
         elems = group.elems if hasattr(group, "elems") else group.elements()
-        l0 = quandle.left_section[0]
+        l0 = cycle_lengths(quandle.table[0])
         for x in range(quandle.size):
             for y in range(quandle.size):
                 z_idx = None
                 z = group.sub(elems[x], elems[quandle.right_divide(y, 0)])
-                ell = len(l0.orbit_of(group.index_of(z)))
+                ell = l0[group.index_of(z)]
                 if ell % 2:
                     continue
                 length = q.f_orbit_length(quandle, 0, x, y)
