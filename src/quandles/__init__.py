@@ -56,18 +56,13 @@ from .core import (
 from .coverings import (
     Congruence,
     Covering,
-    DynamicalCocycle,
     Extension,
     all_congruences,
     coverings_equivalent,
-    dynamical_witness,
     extend,
-    extension_from_json,
-    extension_to_json,
     is_covering,
     ker_left_section,
     principal_congruence,
-    quotient,
 )
 from .knots import (
     GAUSS_CODES,

@@ -1,10 +1,9 @@
-"""Quandle extensions, coverings, congruences and quotient reconstruction.
+"""Quandle extensions by constant cocycles, coverings and congruences.
 
 An extension glues a fiber S onto each point of a base quandle X via a
-dynamical cocycle beta, with (x, s)*(y, t) = (x*y, beta(x, y, s)(t)). When
-beta does not depend on s it is a constant cocycle into Sym(S), whose total
-is built from its permutations directly, and the canonical projection is a
-covering: equal projections force equal left translations.
+constant cocycle beta into Sym(S), with (x, s)*(y, t) = (x*y, beta(x, y)(t)).
+Its total is built from the permutations directly, and the canonical
+projection is a covering: equal projections force equal left translations.
 
 Congruences are worklist closures over the union-find of
 :mod:`quandles.search`. Coverings are compared by cohomology when both are
@@ -17,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cocycles import (
-    ConstantCocycle,
-    are_cohomologous,
-    cocycle_from_json,
-    cocycle_to_json,
-    document_field,
-)
+from .cocycles import ConstantCocycle, are_cohomologous
 from .core import Quandle, _is_index_list, _isomorphic
 from .errors import (
     BudgetExceeded,
@@ -32,7 +25,6 @@ from .errors import (
     NotConnected,
     NotHomomorphism,
     NotSurjective,
-    NotUniform,
 )
 from .search import find, union
 
@@ -84,10 +76,6 @@ class Congruence:
                     if idx[q.op(a, x)] != idx[q.op(b, x)]:
                         return (a, b, x)
         return None
-
-    @property
-    def is_uniform(self):
-        return len({len(b) for b in self.blocks}) <= 1
 
     def __len__(self):
         return len(self.blocks)
@@ -171,84 +159,6 @@ def all_congruences(quandle):
     return sorted(found.values(), key=lambda c: (len(c.blocks[0]), c.blocks))
 
 
-class DynamicalCocycle:
-    """beta(x, y, s) as a permutation of the fiber, stored by image tuples,
-    and checked like a :class:`quandles.cocycles.ConstantCocycle`."""
-
-    __slots__ = ("quandle", "fiber_size", "values")
-
-    def __init__(self, quandle, fiber_size, values, *, _checked=False):
-        values = tuple(tuple(tuple(map(tuple, cell)) for cell in row) for row in values)
-        if not _checked:
-            n = quandle.size
-            if len(values) != n or any(
-                len(row) != n
-                or any(len(cell) != fiber_size for cell in row)
-                or any(len(perm) != fiber_size for cell in row for perm in cell)
-                for row in values
-            ):
-                raise ValueError("values must be base x base x fiber x fiber")
-            if not all(_is_index_list(perm, fiber_size) for row in values for cell in row
-                       for perm in cell):
-                raise ValueError(f"values must be fiber points 0..{fiber_size - 1}")
-            witness = dynamical_witness(quandle, fiber_size, values)
-            if witness is not None:
-                raise InvalidCocycle(f"invalid cocycle: {witness}", witness)
-        self.quandle = quandle
-        self.fiber_size = fiber_size
-        self.values = values
-
-    def __eq__(self, other):
-        return isinstance(other, DynamicalCocycle) and (
-            (self.quandle, self.values) == (other.quandle, other.values))
-
-    def __hash__(self):
-        return hash(self.values)
-
-
-def dynamical_witness(quandle, fiber_size, values):
-    """None for a valid dynamical cocycle, else the smallest violation.
-
-    Checks that every beta(x, y, s) is a bijection of the fiber, the quandle
-    condition beta(x, x, s)(s) = s, and the cocycle condition
-
-        beta(xy, xz, beta(x,y,s)(t)) beta(x,z,s) = beta(x, yz, s) beta(y,z,t)
-
-    as an equation between fiber permutations, for all x, y, z, s, t. With
-    bijective beta the extension's rows are permutations, so, as in
-    :func:`quandles.cocycles.cocycle_witness`, the condition is checked at
-    the base's generating points only, |S| n^2 m^3 steps.
-    """
-    n = quandle.size
-    m = fiber_size
-    points = list(range(m))
-    for x in range(n):
-        for y in range(n):
-            for s in range(m):
-                if sorted(values[x][y][s]) != points:
-                    return ("bijection", (x, y, s))
-    for x in range(n):
-        for s in range(m):
-            if values[x][x][s][s] != s:
-                return ("quandle", (x, s))
-    t = quandle.table
-    for x in quandle._generating_set():
-        tx, vx = t[x], values[x]
-        for y in range(n):
-            ty, vy, vxy, vl = t[y], values[y], vx[y], values[tx[y]]
-            for z in range(n):
-                left, right, vxz, vyz = vl[tx[z]], vx[ty[z]], vx[z], vy[z]
-                for s in range(m):
-                    bxys, bxzs, right_outer = vxy[s], vxz[s], right[s]
-                    for t_ in range(m):
-                        left_outer = left[bxys[t_]]
-                        byzt = vyz[t_]
-                        for w in range(m):
-                            if left_outer[bxzs[w]] != right_outer[byzt[w]]:
-                                return ("cocycle", (x, y, z, s, t_))
-    return None
-
-
 @dataclass(frozen=True)
 class Covering:
     """A surjective map from a total quandle onto a base, point by point."""
@@ -260,53 +170,38 @@ class Covering:
 
 @dataclass(frozen=True)
 class Extension:
-    """The quandle on X x S built from the given constant or dynamical cocycle.
+    """The quandle on X x S built from a constant cocycle into Sym(S).
 
     Points are indexed (x, s) -> x * fiber_size + s.
     """
 
     base: Quandle
     fiber_size: int
-    cocycle: object
+    cocycle: ConstantCocycle
     total: Quandle
     projection: tuple
 
     def as_covering(self):
         return Covering(self.total, self.base, self.projection)
 
-    def fiber_congruence(self):
-        """The fibers over the base points, a congruence of a valid extension:
-        the projection is a homomorphism."""
-        m = self.fiber_size
-        blocks = [range(x * m, (x + 1) * m) for x in range(self.base.size)]
-        return Congruence(self.total, blocks, _checked=True)
-
 
 def extend(quandle, cocycle):
-    """Build the extension quandle; the cocycle may be constant or dynamical.
+    """Build the extension quandle of a constant cocycle into Sym(S).
 
     The cocycle was checked when it was constructed, so it only has to live
     on ``quandle``. A cocycle makes the total a quandle with the fibers as a
     uniform congruence, so neither is re-proved.
     """
-    if not isinstance(cocycle, (ConstantCocycle, DynamicalCocycle)):
-        raise TypeError("cocycle must be a ConstantCocycle or DynamicalCocycle")
+    if not isinstance(cocycle, ConstantCocycle):
+        raise TypeError("cocycle must be a ConstantCocycle")
     if cocycle.quandle != quandle:
         raise InvalidCocycle("cocycle lives on a different quandle")
-    if isinstance(cocycle, ConstantCocycle):
-        coeff = cocycle.coeff
-        m = coeff.points  # ValueError unless the coefficients are a symmetric group
-        table = []
-        for tx, bx in zip(quandle.table, cocycle.values):
-            row = [xy * m + v for xy, b in zip(tx, bx) for v in coeff.perm_images(b)]
-            table += [row] * m  # (x, s)*(y, t) = (x*y, beta(x, y)(t)) for every s
-    else:
-        m = cocycle.fiber_size
-        table = [
-            [xy * m + v for xy, vxy in zip(tx, vx) for v in vxy[s]]
-            for tx, vx in zip(quandle.table, cocycle.values)
-            for s in range(m)
-        ]
+    coeff = cocycle.coeff
+    m = coeff.points  # ValueError unless the coefficients are a symmetric group
+    table = []
+    for tx, bx in zip(quandle.table, cocycle.values):
+        row = [xy * m + v for xy, b in zip(tx, bx) for v in coeff.perm_images(b)]
+        table += [row] * m  # (x, s)*(y, t) = (x*y, beta(x, y)(t)) for every s
     return Extension(
         base=quandle,
         fiber_size=m,
@@ -314,81 +209,6 @@ def extend(quandle, cocycle):
         total=Quandle(table, _checked=True),
         projection=tuple(i // m for i in range(len(table))),
     )
-
-
-@dataclass(frozen=True)
-class QuotientResult:
-    """Quotient quandle plus the reconstruction data exhibiting Y as an extension."""
-
-    quotient: Quandle
-    cocycle: DynamicalCocycle
-    extension: Extension
-    embedding: tuple  # total-quandle index of each original point
-
-
-def quotient(quandle, congruence):
-    """Quotient by a uniform congruence, with the rebuilt extension cocycle.
-
-    The block bijections are the order-preserving enumerations of each block.
-    The reconstruction x -> ([x], position of x in its block) is an
-    isomorphism onto the rebuilt extension by construction, so it is not
-    re-checked: it is a bijection, and for a in block i and b in block j the
-    total's cell at ((i, pos a), (j, pos b)) is ([r_i * r_j], pos(a*b)) for
-    the block leaders r_i, r_j, with [r_i * r_j] = [a*b] by compatibility.
-    Neither the quotient table, a homomorphic image of the quandle, nor the
-    rebuilt cocycle is re-validated. A ``Congruence`` was checked when it was
-    built, and a block list is checked once, by the ``Congruence`` constructor.
-    """
-    if isinstance(congruence, Congruence):
-        if congruence.quandle is not quandle and congruence.quandle != quandle:
-            raise ValueError("congruence belongs to a different quandle")
-        cong = congruence
-    else:
-        cong = Congruence(quandle, congruence)
-    if not cong.is_uniform:
-        raise NotUniform("congruence blocks differ in size")
-    t = quandle.table
-    blocks = cong.blocks
-    m = len(blocks[0])
-    idx = cong.block_index
-    position = {x: s for block in blocks for s, x in enumerate(block)}
-    qt = [[idx[t[bi[0]][bj[0]]] for bj in blocks] for bi in blocks]
-    quotient_quandle = Quandle(qt, _checked=True)
-    # beta(i, j, s)(t) is the position of (block i)[s] * (block j)[t]
-    values = [
-        [[tuple(position[t[a][b]] for b in bj) for a in bi] for bj in blocks] for bi in blocks
-    ]
-    dyn = DynamicalCocycle(quotient_quandle, m, values, _checked=True)
-    ext = extend(quotient_quandle, dyn)
-    embedding = tuple(idx[x] * m + position[x] for x in range(len(t)))
-    return QuotientResult(quotient_quandle, dyn, ext, embedding)
-
-
-def extension_to_json(extension):
-    """JSON form of a constant-cocycle extension: base table, fiber size,
-    and the cocycle document."""
-    if not isinstance(extension.cocycle, ConstantCocycle):
-        raise ValueError("only constant-cocycle extensions serialize")
-    base_ref = {"size": extension.base.size, "table": [list(r) for r in extension.base.table]}
-    return {
-        "base": base_ref,
-        "fiber_size": extension.fiber_size,
-        "cocycle": cocycle_to_json(extension.cocycle, quandle_ref=base_ref),
-    }
-
-
-def extension_from_json(data, base=None):
-    if base is None:
-        ref = document_field(data, "base", "extension")
-        if not isinstance(ref, dict) or "table" not in ref:
-            raise ValueError("extension document does not embed its base table")
-        base = Quandle(ref["table"])
-    beta = cocycle_from_json(document_field(data, "cocycle", "extension"), quandle=base)
-    ext = extend(base, beta)
-    declared = document_field(data, "fiber_size", "extension")
-    if type(declared) is not int or declared != ext.fiber_size:
-        raise ValueError("declared fiber size does not match the cocycle")
-    return ext
 
 
 def is_covering(total, base, projection, *, require_connected=False):
@@ -443,8 +263,7 @@ def coverings_equivalent(first, second):
         raise ValueError("coverings have different bases")
     if cov1.total.size != cov2.total.size:
         return False
-    constant = isinstance(beta1, ConstantCocycle) and isinstance(beta2, ConstantCocycle)
-    if constant and beta1.coeff == beta2.coeff:
+    if beta1 is not None and beta2 is not None and beta1.coeff == beta2.coeff:
         return are_cohomologous(beta1, beta2)
     fibers = {}
     for b, x in enumerate(cov2.projection):

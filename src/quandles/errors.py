@@ -60,10 +60,6 @@ class InvalidCocycle(QuandleError):
         self.witness = witness
 
 
-class NotUniform(QuandleError):
-    pass
-
-
 class NotCompatible(QuandleError):
     pass
 

@@ -690,18 +690,6 @@ def f_orbit_length_by_power_sum(quandle, x, y):
     return None
 
 
-def lift_constant(beta):
-    """View a constant cocycle into Sym(S) as a dynamical cocycle."""
-    coeff = beta.coeff
-    n = beta.quandle.size
-    m = coeff.points  # ValueError unless the coefficients are a symmetric group
-    values = [
-        [tuple(coeff.perm_images(beta.values[x][y]) for _ in range(m)) for y in range(n)]
-        for x in range(n)
-    ]
-    return q.DynamicalCocycle(beta.quandle, m, values)
-
-
 @dataclass(frozen=True)
 class EnvelopeElement:
     """Element (k, x, a) of Z x G x (G(x)G / I) with the twisted product."""
@@ -777,35 +765,19 @@ def reference_validate_table(table):
     return t
 
 
-def reference_dynamical_witness(quandle, fiber_size, values):
-    n = quandle.size
-    m = fiber_size
-    for x in range(n):
-        for y in range(n):
-            for s in range(m):
-                if sorted(values[x][y][s]) != list(range(m)):
-                    return ("bijection", (x, y, s))
-    for x in range(n):
-        for s in range(m):
-            if values[x][x][s][s] != s:
-                return ("quandle", (x, s))
-    t = quandle.table
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for s in range(m):
-                    bxys = values[x][y][s]
-                    bxzs = values[x][z][s]
-                    for t_ in range(m):
-                        left_outer = values[t[x][y]][t[x][z]][bxys[t_]]
-                        right_outer = values[x][t[y][z]][s]
-                        byzt = values[y][z][t_]
-                        if any(
-                            left_outer[bxzs[w]] != right_outer[byzt[w]]
-                            for w in range(m)
-                        ):
-                            return ("cocycle", (x, y, z, s, t_))
-    return None
+def reference_extension_table(beta):
+    """The total of the extension by a constant cocycle into Sym(S), cell by
+    cell from (x, s)*(y, t) = (x*y, beta(x, y)(t)) with (x, s) -> x m + s,
+    reading Sym(S)'s elements in sorted image order."""
+    m = beta.coeff.points
+    perms = sorted(permutations(range(m)))
+    n = beta.quandle.size
+    op, values = beta.quandle.op, beta.values
+    return tuple(
+        tuple(op(x, y) * m + perms[values[x][y]][t] for y in range(n) for t in range(m))
+        for x in range(n)
+        for _ in range(m)
+    )
 
 
 def reference_latin_cohomologous(beta1, beta2):

@@ -18,7 +18,7 @@ from quandles.cocycles import (
     normalized_cocycles,
     pair_map,
 )
-from quandles.coverings import coverings_equivalent, extend, is_covering, quotient
+from quandles.coverings import coverings_equivalent, extend, is_covering
 from quandles.knots import GAUSS_CODES, cocycle_invariant, col_count, parse_gauss
 from quandles.pi1 import pi1_presentation
 from conftest import apply_pair, beta_a_table, build_affine, cycle_lengths
@@ -245,11 +245,15 @@ def test_criterion_8_covering_suite(small_affine_corpus, q4, r3):
     for name, quandle in small_affine_corpus:
         if quandle.size > 5:
             continue
+        n = quandle.size
         for beta in normalized_cocycles(quandle, CoeffGroup.symmetric(2), 0):
             ext = extend(quandle, beta)
             assert is_covering(ext.total, quandle, ext.projection), name
-            result = quotient(ext.total, ext.fiber_congruence())
-            assert result.quotient.table == quandle.table, name
+            # the quotient by the fibers, read off one point per fiber
+            m = ext.fiber_size
+            table = [[ext.projection[row[y * m]] for y in range(n)]
+                     for row in ext.total.table[::m]]
+            assert table == [list(row) for row in quandle.table], name
             round_trips += 1
     # the coset-pair covering instance
     g33 = q.FinAbGroup((3, 3))

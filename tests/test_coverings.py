@@ -13,14 +13,12 @@ from conftest import (
     build_affine,
     corrupt,
     from_cycles,
-    lift_constant,
-    off_diagonal_swap,
     outcome,
     primitive_affine,
     reference_congruences,
     reference_cocycle_witness,
     reference_coverings_equivalent,
-    reference_dynamical_witness,
+    reference_extension_table,
     reference_is_covering,
     reference_validate_table,
 )
@@ -35,15 +33,12 @@ from quandles.cocycles import (
 from quandles.coverings import (
     Congruence,
     Covering,
-    DynamicalCocycle,
     all_congruences,
     coverings_equivalent,
-    dynamical_witness,
     extend,
     is_covering,
     ker_left_section,
     principal_congruence,
-    quotient,
 )
 from quandles.errors import (
     BudgetExceeded,
@@ -53,7 +48,6 @@ from quandles.errors import (
     NotHomomorphism,
     NotLeftDistributive,
     NotSurjective,
-    NotUniform,
 )
 from quandles.perms import _after, _inverse
 
@@ -62,22 +56,6 @@ def direct_product_with_projection(base, fiber):
     """R x P_fiber as an extension with the trivial cocycle."""
     s2 = CoeffGroup.symmetric(fiber)
     return extend(base, q.trivial_cocycle(base, s2))
-
-
-def test_lift_constant_is_dynamical(r3):
-    s2 = CoeffGroup.symmetric(2)
-    for beta in normalized_cocycles(r3, s2, 0):
-        dyn = lift_constant(beta)
-        assert dynamical_witness(r3, 2, dyn.values) is None
-        assert all(len(set(cell)) == 1 for row in dyn.values for cell in row)
-
-
-def test_dynamical_witness_flags_bad_diagonal(r3):
-    s2 = CoeffGroup.symmetric(2)
-    dyn = lift_constant(q.trivial_cocycle(r3, s2))
-    values = [list(map(list, row)) for row in dyn.values]
-    values[1][1][0] = (1, 0)  # beta(1,1,0) no longer fixes 0
-    assert dynamical_witness(r3, 2, values) == ("quandle", (1, 0))
 
 
 def test_extend_trivial_is_direct_product(r3):
@@ -104,7 +82,6 @@ def test_extend_all_r3_cocycles(r3):
         ext = extend(r3, beta)
         assert ext.total.size == 6
         assert is_covering(ext.total, r3, ext.projection)
-        assert ext.fiber_congruence().is_uniform
 
 
 def test_extend_needs_symmetric_coefficients(q4):
@@ -115,9 +92,7 @@ def test_extend_needs_symmetric_coefficients(q4):
 
 def test_extend_checks_each_cocycle_once(q4, monkeypatch):
     """A constant cocycle is checked by one cocycle_witness when it is
-    constructed, a dynamical one by one dynamical_witness; extend runs
-    neither, never re-validates the total and never re-checks the fibers,
-    so an extension document checks its cocycle once."""
+    constructed; extend runs none and never re-validates the total."""
     s2 = CoeffGroup.symmetric(2)
     calls = []
 
@@ -128,29 +103,20 @@ def test_extend_checks_each_cocycle_once(q4, monkeypatch):
         raise AssertionError("re-proof of what holds by construction")
 
     monkeypatch.setattr(cmod, "cocycle_witness", counted(cocycle_witness))
-    monkeypatch.setattr(cov, "dynamical_witness", counted(dynamical_witness))
     beta = ConstantCocycle(q4, s2, beta_a_table(q4, s2, 1))
     assert calls == [("cocycle_witness", q4)]
     calls.clear()
-    dyn = lift_constant(beta)
-    assert calls == [("dynamical_witness", q4)]
-    calls.clear()
     monkeypatch.setattr(core, "_validate_table", forbidden)
-    monkeypatch.setattr(cov.Extension, "fiber_congruence", forbidden)
-    total = extend(q4, beta).total
-    assert extend(q4, dyn).total == total
+    extend(q4, beta)
     assert calls == []
-    assert q.extension_from_json(q.extension_to_json(extend(q4, beta)), base=q4).total == total
-    assert calls == [("cocycle_witness", q4)]
 
 
 def test_nothing_is_re_proved_after_construction(
     small_affine_corpus, small_coeffs, r3, q4, monkeypatch
 ):
-    """Found and normalized cocycles, coset, conjugation and quotient tables,
-    kernels, extensions and fibers hold by construction: the n^3 cocycle
-    checks, the table validator and the compatibility check never run on
-    them, and a quotient by a congruence trusts it."""
+    """Found and normalized cocycles, coset and conjugation tables, kernels
+    and extensions hold by construction: the n^3 cocycle check, the table
+    validator and the compatibility check never run on them."""
     s2, s3 = CoeffGroup.symmetric(2), CoeffGroup.symmetric(3)
     g33 = q.FinAbGroup((3, 3))
     swap = q.AbHom(g33, g33, [[0, 1], [1, 0]])
@@ -162,7 +128,6 @@ def test_nothing_is_re_proved_after_construction(
         raise AssertionError("re-proof of what holds by construction")
 
     monkeypatch.setattr(cmod, "cocycle_witness", forbidden)
-    monkeypatch.setattr(cov, "dynamical_witness", forbidden)
     monkeypatch.setattr(core, "_validate_table", forbidden)
     monkeypatch.setattr(core, "_validate_group_table", forbidden)
     monkeypatch.setattr(Congruence, "_compatibility_witness", forbidden)
@@ -185,40 +150,46 @@ def test_nothing_is_re_proved_after_construction(
     for quandle in (r3, q4):
         for coeff in (s2, s3):
             for beta in normalized_cocycles(quandle, coeff, 0):
-                ext = extend(quandle, beta)
-                ker_left_section(ext.total)
-                quotient(ext.total, ext.fiber_congruence())
+                ker_left_section(extend(quandle, beta).total)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_extend_checks_constant_cocycles_like_their_lift(small_affine_corpus, data):
+def test_extend_checks_constant_cocycles_like_the_reference(small_affine_corpus, data):
     """The constant constructor refuses a corrupted table exactly when the
-    dynamical constructor refuses its lift into Sym(S)."""
+    full scan of the reference finds a violation, and extend builds a valid
+    total from every table it accepts."""
     _, quandle = data.draw(st.sampled_from(small_affine_corpus))
     coeff = CoeffGroup.symmetric(data.draw(st.integers(2, 3)))
     beta = data.draw(st.sampled_from(normalized_cocycles(quandle, coeff, 0)))
     values = corrupt(data, beta.values, range(coeff.order))
-    lift = outcome(lift_constant, ConstantCocycle(quandle, coeff, values, _checked=True))
+    witness = reference_cocycle_witness(quandle, coeff, values)
     constant = outcome(ConstantCocycle, quandle, coeff, values)
-    assert (lift[0], constant[0]) in (("value", "value"), ("raise", "raise")), (lift, constant)
+    assert (witness is None) == (constant[0] == "value"), (witness, constant)
     if constant[0] == "value":
         ext = extend(quandle, constant[1])
         assert reference_validate_table(ext.total.table) == ext.total.table
     else:
-        assert lift[1] is InvalidCocycle and constant[1] is InvalidCocycle
+        assert constant[1] is InvalidCocycle
 
 
-def test_constant_total_matches_its_lift(small_affine_corpus):
+def test_constant_total_matches_reference(small_affine_corpus):
     """extend builds a constant total from the permutations, the same table
-    as the lift into Sym(S) gives; the twist by gamma brings in 3-cycles."""
+    as the reference builds cell by cell; the twist by gamma brings in
+    3-cycles."""
     s3 = CoeffGroup.symmetric(3)
     for name, quandle in small_affine_corpus:
         gamma = [x % s3.order for x in range(quandle.size)]
         for beta in normalized_cocycles(quandle, s3, 0):
             twisted = ConstantCocycle(quandle, s3, _twist(beta, gamma))
-            lifted = extend(quandle, lift_constant(twisted)).total
-            assert extend(quandle, twisted).total == lifted, name
+            assert extend(quandle, twisted).total.table == reference_extension_table(twisted), name
+
+
+def test_extend_takes_constant_cocycles_only(r3):
+    trivial = direct_product_with_projection(r3, 2)
+    for cocycle in (trivial.as_covering(), [list(row) for row in trivial.cocycle.values], None):
+        with pytest.raises(TypeError, match="cocycle must be a ConstantCocycle"):
+            extend(r3, cocycle)
 
 
 def test_extend_checks_against_the_given_quandle():
@@ -229,61 +200,13 @@ def test_extend_checks_against_the_given_quandle():
     with pytest.raises(InvalidCocycle) as info:
         ConstantCocycle(target, s3, beta.values)
     assert info.value.witness == ("cocycle", (0, 1, 3))
-    assert dynamical_witness(target, 3, lift_constant(beta).values) is not None
     with pytest.raises(InvalidCocycle, match="different quandle"):
         extend(target, beta)
 
 
-def test_extend_rejects_invalid():
-    r3 = q.dihedral_quandle(3)
-    values = [
-        [[(0, 1), (0, 1)] for _ in range(3)] for _ in range(3)
-    ]
-    values[0][0][0] = (1, 0)
-    with pytest.raises(InvalidCocycle) as info:
-        DynamicalCocycle(r3, 2, values)
-    assert info.value.witness == ("quandle", (0, 0))
-
-
-def checked_quotient(quandle, congruence):
-    """quotient, after the full axiom check of the quotient table it builds
-    unchecked."""
-    result = quotient(quandle, congruence)
-    assert reference_validate_table(result.quotient.table) == result.quotient.table
-    return result
-
-
-def test_quotient_identity_partition(r3):
-    result = checked_quotient(r3, [[0], [1], [2]])
-    assert result.quotient.table == r3.table
-    assert result.embedding == (0, 1, 2)
-
-
-def test_quotient_single_block(r3):
-    result = checked_quotient(r3, [[0, 1, 2]])
-    assert result.quotient.size == 1
-
-
-def test_quotient_of_direct_product_recovers_base(r3):
-    ext = direct_product_with_projection(r3, 2)
-    blocks = [[x * 2, x * 2 + 1] for x in range(3)]
-    result = checked_quotient(ext.total, blocks)
-    assert result.quotient.table == r3.table
-    # reconstruction gives an isomorphic extension of the quotient
-    assert result.extension.total.size == 6
-    assert coverings_equivalent(
-        Covering(ext.total, r3, ext.projection),
-        Covering(result.extension.total, r3, result.extension.projection),
-    )
-
-
-def test_quotient_requires_uniform():
-    proj = q.projection_quandle(3)
-    with pytest.raises(NotUniform):
-        quotient(proj, [[0, 1], [2]])
-
-
 def test_quotient_requires_compatible(r3, monkeypatch):
+    """Only a compatible partition has a quotient: Congruence refuses the
+    others, after one compatibility check."""
     ext = direct_product_with_projection(r3, 2)
     blocks = [[0, 1, 2], [3, 4, 5]]
     calls = []
@@ -292,11 +215,8 @@ def test_quotient_requires_compatible(r3, monkeypatch):
         Congruence, "_compatibility_witness", lambda self: calls.append(1) or check(self)
     )
     with pytest.raises(NotCompatible):
-        quotient(ext.total, blocks)
-    assert len(calls) == 1  # a block list is checked once
-    # quotient trusts a Congruence, so the constructor builds no unchecked one
-    with pytest.raises(NotCompatible):
         Congruence(ext.total, blocks)
+    assert len(calls) == 1  # a block list is checked once
 
 
 def test_congruence_blocks_must_be_point_indices():
@@ -306,15 +226,13 @@ def test_congruence_blocks_must_be_point_indices():
     for blocks in ([[0.0, 1], [2, 3]], [[True, 0], [2, 3]], [[0, 1], [2, -1]], [[0, 1, 2, 4]]):
         with pytest.raises(ValueError, match="blocks must list points 0..3"):
             Congruence(p4, blocks)
-        with pytest.raises(ValueError, match="blocks must list points 0..3"):
-            quotient(p4, blocks)
     assert Congruence(p4, [(1, 0), [3, 2, 2]]).blocks == ((0, 1), (2, 3))
 
 
-def checked_fibers(ext):
-    """The fiber congruence of an extension, after the full axiom check of
-    its total and of the projection as a homomorphism onto the base: all
-    hold by construction once the cocycle is valid."""
+def check_fibers(ext):
+    """The full axiom check of an extension's total, of the projection as a
+    homomorphism onto the base and of the fibers as a congruence, by the
+    checking constructor: all hold by construction once the cocycle is valid."""
     total, base, m = ext.total, ext.base, ext.fiber_size
     assert reference_validate_table(total.table) == total.table
     assert all(
@@ -322,31 +240,23 @@ def checked_fibers(ext):
         for a in range(total.size)
         for b in range(total.size)
     )
-    fibers = ext.fiber_congruence()
-    assert fibers.is_uniform and len(fibers) == base.size
-    assert fibers.blocks == tuple(tuple(range(x * m, (x + 1) * m)) for x in range(base.size))
-    return fibers
+    Congruence(total, [range(x * m, (x + 1) * m) for x in range(base.size)])
 
 
 def test_extend_quotient_round_trip(small_affine_corpus):
+    """The quotient of a total by its fibers, read off one point per fiber,
+    is the base again."""
     for name, quandle in small_affine_corpus:
+        n = quandle.size
         for points in (2, 3):
             s = CoeffGroup.symmetric(points)
             for beta in [q.trivial_cocycle(quandle, s), *normalized_cocycles(quandle, s, 0)]:
                 ext = extend(quandle, beta)
-                result = checked_quotient(ext.total, checked_fibers(ext))
-                assert result.quotient.table == quandle.table, name
-                checked_fibers(result.extension)
-                # quotient does not re-check its reconstruction: it must be a
-                # bijective homomorphism onto the rebuilt total
-                embedding, total = result.embedding, result.extension.total
-                assert sorted(embedding) == list(range(total.size)), name
-                size = ext.total.size
-                assert all(
-                    embedding[ext.total.op(a, b)] == total.op(embedding[a], embedding[b])
-                    for a in range(size)
-                    for b in range(size)
-                ), name
+                check_fibers(ext)
+                m = ext.fiber_size
+                table = [[ext.projection[row[y * m]] for y in range(n)]
+                         for row in ext.total.table[::m]]
+                assert table == [list(row) for row in quandle.table], name
 
 
 def checked_kernel(quandle):
@@ -420,13 +330,6 @@ def test_is_covering_needs_point_indices(r3, projection):
         is_covering(r3, r3, projection)
 
 
-@pytest.mark.parametrize("cell", [[(0.2, 1.7), (True, 0)], [(0, 1), (1, 2)]])
-def test_dynamical_cocycle_entries_must_be_fiber_points(cell):
-    # [(0.2, 1.7), (True, 0)] was truncated to the identity and a swap
-    with pytest.raises(ValueError, match="fiber points"):
-        DynamicalCocycle(q.projection_quandle(1), 2, [[cell]])
-
-
 def test_is_covering_rejects_non_homomorphism(r3):
     ext = direct_product_with_projection(r3, 2)
     bad = [0, 0, 1, 1, 2, 2]
@@ -455,11 +358,6 @@ def test_non_constant_extension_is_not_covering(r3):
     square = q.Quandle(table)
     mapping = [i // n for i in range(9)]
     assert not is_covering(square, r3, mapping)
-    # and the rebuilt quotient cocycle is genuinely non-constant
-    blocks = [[x * n + s for s in range(n)] for x in range(n)]
-    result = checked_quotient(square, blocks)
-    assert not all(len(set(cell)) == 1 for row in result.cocycle.values for cell in row)
-    checked_fibers(result.extension)
 
 
 @settings(max_examples=200, deadline=None)
@@ -632,7 +530,7 @@ def test_principal_congruence_and_lattice(r3, q4):
     # every congruence of each small connected corpus quandle is uniform
     for quandle in (r3, q4, q.dihedral_quandle(5)):
         for cong in all_congruences(quandle):
-            assert cong.is_uniform
+            assert len({len(b) for b in cong.blocks}) == 1
 
 
 def test_congruence_lattice_of_nine_element_affine():
@@ -643,7 +541,7 @@ def test_congruence_lattice_of_nine_element_affine():
     # identity, the mod-3 fibering, and the full collapse
     assert sizes == [1, 3, 9]
     for cong in congs:
-        assert cong.is_uniform
+        assert len({len(b) for b in cong.blocks}) == 1
 
 
 def small_totals(r3, q4):
@@ -690,82 +588,7 @@ def test_congruence_cap():
 def test_direct_product_congruences(r3):
     ext = direct_product_with_projection(r3, 2)
     congs = all_congruences(ext.total)
-    block_shapes = {tuple(sorted(len(b) for b in c.blocks)) for c in congs}
-    assert (2, 2, 2) in block_shapes  # the fiber congruence is found
-    fiber = next(c for c in congs if sorted(len(b) for b in c.blocks) == [2, 2, 2])
-    assert checked_quotient(ext.total, fiber).quotient.table == r3.table
-
-
-def test_extension_json_roundtrip(q4):
-    import json
-
-    s2 = CoeffGroup.symmetric(2)
-    swap = 1 - s2.identity
-    beta = ConstantCocycle(q4, s2, beta_a_table(q4, s2, swap))
-    ext = q.extend(q4, beta)
-    doc = json.loads(json.dumps(q.extension_to_json(ext)))
-    loaded = q.extension_from_json(doc)
-    assert loaded.total.table == ext.total.table
-    assert loaded.projection == ext.projection
-    loaded2 = q.extension_from_json(doc, base=q4)
-    assert loaded2.cocycle == beta
-
-
-def test_extension_json_rejects_malformed_documents(q4):
-    import json
-
-    s2 = CoeffGroup.symmetric(2)
-    doc = json.loads(json.dumps(q.extension_to_json(extend(q4, q.trivial_cocycle(q4, s2)))))
-    no_fiber = {k: v for k, v in doc.items() if k != "fiber_size"}
-    bad_rows = {**doc, "cocycle": {**doc["cocycle"], "values": [5, 6, 7, 8]}}
-    bad_tables = [{**doc, "base": {"table": table}}
-                  for table in (5, [5], [[None]], [[0.5]], [["0"]], [[True]])]
-    # the fiber size is an integer: 2.0 and true (for a fiber of size 1) are not
-    one = q.extension_to_json(extend(q4, q.trivial_cocycle(q4, CoeffGroup.symmetric(1))))
-    bad_sizes = [{**doc, "fiber_size": 2.0}, {**one, "fiber_size": True}]
-    for bad in ([doc], "text", no_fiber, {"base": doc["base"]}, bad_rows, *bad_tables,
-                *bad_sizes):
-        with pytest.raises(ValueError):
-            q.extension_from_json(bad)
-    with pytest.raises(ValueError):
-        q.extension_from_json({"fiber_size": 2}, base=q4)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_dynamical_witness_matches_reference(small_affine_corpus, data):
-    """On a lifted cocycle with one cell corrupted, the same first violation."""
-    _, quandle = data.draw(st.sampled_from(small_affine_corpus))
-    coeff = CoeffGroup.symmetric(data.draw(st.integers(2, 3)))
-    beta = data.draw(st.sampled_from(normalized_cocycles(quandle, coeff, 0)))
-    values = [[list(cell) for cell in row] for row in lift_constant(beta).values]
-    x = data.draw(st.integers(0, quandle.size - 1))
-    y = data.draw(st.integers(0, quandle.size - 1))
-    values[x][y] = corrupt(data, values[x][y], range(coeff.points))
-    m = coeff.points
-    assert outcome(dynamical_witness, quandle, m, values) == outcome(
-        reference_dynamical_witness, quandle, m, values
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_dynamical_witness_matches_reference_past_the_diagonal(small_affine_corpus, data):
-    """On the lift of a twisted cocycle with two cells off the diagonal of one
-    row swapped, every beta(x, y, s) stays a bijection and the quandle
-    condition holds, so only the cocycle condition decides: the same answer
-    and least witness as the full scan."""
-    _, quandle = data.draw(st.sampled_from(small_affine_corpus))
-    coeff = CoeffGroup.symmetric(data.draw(st.integers(2, 3)))
-    beta = data.draw(st.sampled_from(normalized_cocycles(quandle, coeff, 0)))
-    gamma = data.draw(st.lists(st.integers(0, coeff.order - 1), min_size=quandle.size,
-                               max_size=quandle.size), label="gamma")
-    twisted = ConstantCocycle(quandle, coeff, _twist(beta, gamma), _checked=True)
-    values = data.draw(off_diagonal_swap(lift_constant(twisted).values))
-    m = coeff.points
-    assert outcome(dynamical_witness, quandle, m, values) == outcome(
-        reference_dynamical_witness, quandle, m, values
-    )
+    assert ((0, 1), (2, 3), (4, 5)) in [c.blocks for c in congs]  # the fibers are found
 
 
 def test_accepted_input_never_enters_the_ordered_scan(
@@ -785,7 +608,7 @@ def test_accepted_input_never_enters_the_ordered_scan(
 
     for name in ("_distributivity_violation", "_associativity_violation"):
         monkeypatch.setattr(core, name, generators_only(getattr(core, name)))
-    # the cocycle and dynamical checks scan the quandle's generating set
+    # the cocycle check scans the quandle's generating set
     generating_set = core.Quandle._generating_set
 
     def proper_generating_set(quandle):
@@ -801,12 +624,10 @@ def test_accepted_input_never_enters_the_ordered_scan(
         assert loaded.table == quandle.table, name
         for beta in q.h2c(loaded, s3):
             assert ConstantCocycle(loaded, s3, beta.values).values == beta.values, name
-            lift_constant(beta)
     for group in (s3, CoeffGroup.abelian((2, 4)), CoeffGroup.abelian((9,))):
         assert CoeffGroup.from_cayley(group.table).table == group.table
     beta = next(r for r in q.h2c(q4, s3) if not r.is_trivial())
-    ext = extend(q4, beta)
-    assert q.extension_from_json(q.extension_to_json(ext)).total == ext.total
+    assert q.cocycle_from_json(q.cocycle_to_json(beta)) == beta
     path = tmp_path / "aff81.txt"
     path.write_text(q.quandle_to_text(primitive_affine(81)))
     assert main(["check", str(path)]) == 0
@@ -816,7 +637,7 @@ def test_accepted_input_never_enters_the_ordered_scan(
     )
 
 
-def test_least_witness_at_a_later_generator(r3):
+def test_least_witness_at_a_later_generator():
     """Inputs that hold at the first generating point and fail at a later
     one: the check at the generators returns the full scan's least witness."""
     table = [[0, 1, 2, 3], [0, 1, 2, 3], [0, 3, 2, 1], [2, 1, 0, 3]]
@@ -830,12 +651,3 @@ def test_least_witness_at_a_later_generator(r3):
     values = [[0, 3, 0], [2, 0, 4], [3, 3, 0]]
     assert cocycle_witness(p3, s3, values) == ("cocycle", (1, 2, 0))
     assert reference_cocycle_witness(p3, s3, values) == ("cocycle", (1, 2, 0))
-    e, t = (0, 1), (1, 0)
-    for quandle, values, witness in (
-        (r3, [[[e, e], [e, e], [e, e]], [[t, e], [e, e], [e, t]], [[t, e], [e, t], [e, e]]],
-         ("cocycle", (1, 0, 1, 0, 0))),
-        (p3, [[[e, e], [e, e], [e, e]], [[e, t], [e, e], [t, t]], [[e, e], [t, t], [e, e]]],
-         ("cocycle", (2, 1, 0, 0, 0))),
-    ):
-        assert dynamical_witness(quandle, 2, values) == witness
-        assert reference_dynamical_witness(quandle, 2, values) == witness
